@@ -3,18 +3,15 @@ chain algebra, and the acceptance selftest.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 invariant violations (the violated invariant is named on stderr).
-Outputs are byte-identical for identical configuration, seed, and thread
-count; CSV uses a header row, '.' decimals, and LF line endings, JSON is
-sorted-key.  The environment variable RFHLAB_THREADS caps the worker
-count (this build computes within a single worker; the value is validated
-and recorded in the run metadata).
+Outputs are byte-identical for identical configuration and seed; CSV uses
+a header row, '.' decimals, and LF line endings, JSON is sorted-key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -26,6 +23,7 @@ from . import hybrid as hy
 from . import model as mo
 from . import rsindex as rsi
 from . import z2complex as z2
+from ._files import write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,15 +35,21 @@ class ConfigError(ValueError):
     pass
 
 
-def _threads() -> int:
-    raw = os.environ.get("RFHLAB_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"RFHLAB_THREADS must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ConfigError("RFHLAB_THREADS must be >= 1")
-    return val
+# numeric options: flag -> (test, requirement); a subcommand without the
+# flag skips its rule
+_NUMBER_RULES = {
+    "tol": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "steps": (lambda v: v >= 1, "at least 1"),
+    "amplitude": (lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    "horizon": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+}
+
+
+def _check_numbers(args):
+    for name, (ok, requirement) in _NUMBER_RULES.items():
+        val = getattr(args, name, None)
+        if val is not None and not ok(val):
+            raise ConfigError(f"--{name} must be {requirement}, got {val!r}")
 
 
 def _kv_floats(pairs, required):
@@ -71,11 +75,7 @@ def _load_model(path: str | None, n: int | None) -> mo.ModelSystem:
 
 
 def _write_text(path: str | None, text: str):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text(path or sys.stdout, text)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -98,7 +98,7 @@ def _cmd_index(args) -> int:
         if args.format == "json":
             _write_text(args.out, json.dumps(
                 {"mu_rs": str(value), "twice_value": value.twice_value,
-                 "seed": args.seed, "threads": _threads()},
+                 "seed": args.seed},
                 sort_keys=True, indent=2) + "\n")
         else:
             _write_text(args.out, "mu_rs,twice_value,seed\n"
@@ -128,7 +128,7 @@ def _cmd_grade(args) -> int:
     if args.format == "json":
         rows = [line.split(",") for line in report.strip().splitlines()]
         head, data = rows[0], rows[1:]
-        payload = {"seed": args.seed, "threads": _threads(),
+        payload = {"seed": args.seed,
                    "components": [dict(zip(head, r)) for r in data]}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -162,14 +162,13 @@ def _cmd_flow(args) -> int:
     else:
         start = _build_start(sy, args)
     controls = gf.IntegrateControls(
-        scheme=args.scheme, eps_stop=args.tol, max_steps=args.steps,
-        freq_cutoff=args.cutoff,
+        eps_stop=args.tol, max_steps=args.steps, freq_cutoff=args.cutoff,
     )
     loop, diags = gf.integrate(sy, start, controls)
     out_text = gf.diagnostics_to_csv(diags)
     if args.format == "json":
         payload = {
-            "seed": args.seed, "threads": _threads(),
+            "seed": args.seed,
             "converged": diags.converged, "stop_reason": diags.stop_reason,
             "target_component": diags.target_component,
             "action_start": diags.action_start, "action_end": diags.action_end,
@@ -205,7 +204,7 @@ def _cmd_hybrid(args) -> int:
     text = hy.hybrid_diagnostics_to_csv(out)
     if args.format == "json":
         payload = {
-            "seed": args.seed, "threads": _threads(),
+            "seed": args.seed,
             "converged": diags.converged, "sweeps": diags.sweeps,
             "horizon": diags.horizon,
             "energy_minus": diags.energy_minus, "energy_plus": diags.energy_plus,
@@ -244,8 +243,7 @@ def _cmd_complex(args) -> int:
             print("invariant violated: chain map failed to invert", file=sys.stderr)
             return EXIT_INVARIANT
     if args.format == "json":
-        payload = {"betti": {str(k): v for k, v in ranks.items()},
-                   "seed": args.seed, "threads": _threads()}
+        payload = {"betti": {str(k): v for k, v in ranks.items()}, "seed": args.seed}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)
     return EXIT_OK
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--amplitude", type=float, default=1e-5)
     p.add_argument("--cutoff", type=int, default=1, help="Fourier cutoff (stabilizer)")
-    p.add_argument("--scheme", choices=("explicit", "semi-implicit"), default="explicit")
     p.add_argument("--snapshot", help="write the final loop as JSON")
     p.set_defaults(func=_cmd_flow)
 
@@ -345,7 +342,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads()
+        _check_numbers(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -358,7 +355,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (z2.FiltrationError, z2.GradingError, z2.NotInvertibleError,
-            gr.IndexArithmeticError, hy.CouplingError) as exc:
+            gr.IndexArithmeticError, hy.CouplingError, hy.ActionChainError) as exc:
         print(f"invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

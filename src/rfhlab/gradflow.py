@@ -9,8 +9,8 @@ analytic gradient:
     fixed period (x,eta,zeta): ( J (x' - eta X_H(x)),  zeta' - H(x),  -eta' )
 
 where J is the model's compatible structure (-J_n).  Time stepping is
-explicit Euler with Armijo backtracking on the action, or a semi-implicit
-variant that solves the linear d/dt terms mode-by-mode in Fourier space.
+explicit Euler with Armijo backtracking on the action; one kernel takes
+every step, for ``integrate`` and for the half-runs of ``hybrid``.
 
 Both action functionals are strongly indefinite: the linearized flow has
 growth rates of both signs up to the grid frequency, so the unfiltered
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import write_text
 from .model import ModelSystem
 
 __all__ = [
@@ -228,55 +229,6 @@ def _gradient(sys, loop):
     return gradient_extended(sys, loop)
 
 
-# -- semi-implicit linear solves -------------------------------------------------
-
-
-def _semi_implicit_step(sys, loop, g_explicit, ds: float, kmax: int | None):
-    """One step implicit in the linear d/dt terms, explicit in the rest.
-
-    The x equation treats J x' implicitly; the (eta, zeta) pair solves its
-    exact discrete Cauchy-Riemann coupling implicitly mode by mode.  The
-    pair is indefinite, so the mode solves have a resonance at
-    ds * mu_k = 1; callers must keep ds below that (the integrator guards
-    it).  This removes the explicit scheme's step restriction from the
-    stable side of the spectrum, not the genuine growth of the unstable
-    side, which no consistent scheme can remove.
-    """
-    nt = loop.nt
-    mu = np.sin(2.0 * np.pi * np.fft.rfftfreq(nt)) * nt  # centered-diff symbol
-
-    def solve_x(rhs):
-        # (I - ds J D) x+ = rhs; per mode, (I - bJ)^{-1} = (I + bJ)/(1 + b^2)
-        spec = np.fft.rfft(rhs, axis=0)
-        b = (1j * ds * mu)[:, None]
-        spec = (spec + b * (spec @ sys.jmat.T)) / (1.0 - (ds * mu)[:, None] ** 2)
-        return np.fft.irfft(spec, n=nt, axis=0)
-
-    # the flow reads d_s x = J D x + (multiplier) grad H(x) once the
-    # compatible structure -J is folded into the gradient formula
-    if isinstance(loop, RabinowitzLoop):
-        x_new = solve_x(loop.x + ds * (loop.tau * sys.grad_hamiltonian(loop.x)))
-        tau_new = loop.tau - ds * g_explicit[1]
-        new = RabinowitzLoop(x=x_new, tau=tau_new)
-    else:
-        h_of_x = sys.hamiltonian(loop.x)
-        x_new = solve_x(loop.x + ds * (loop.eta[:, None] * sys.grad_hamiltonian(loop.x)))
-        # (eta, zeta): eta+ = eta + ds(H - D zeta+), zeta+ = zeta + ds D eta+
-        eh = np.fft.rfft(loop.eta + ds * h_of_x)
-        zh = np.fft.rfft(loop.zeta)
-        det = 1.0 - (ds * mu) ** 2
-        eta_new_hat = (eh - 1j * ds * mu * zh) / det
-        zeta_new_hat = (zh + 1j * ds * mu * eh) / det
-        new = ExtendedLoop(
-            x=x_new,
-            eta=np.fft.irfft(eta_new_hat, n=nt),
-            zeta=np.fft.irfft(zeta_new_hat, n=nt),
-        )
-    if kmax is not None:
-        new = _project_loop(new, kmax)
-    return new
-
-
 def _project_loop(loop, kmax: int):
     if isinstance(loop, RabinowitzLoop):
         return RabinowitzLoop(x=fourier_project(loop.x, kmax), tau=loop.tau)
@@ -285,6 +237,95 @@ def _project_loop(loop, kmax: int):
         eta=fourier_project(loop.eta, kmax),
         zeta=fourier_project(loop.zeta, kmax),
     )
+
+
+def _parts(loop):
+    if isinstance(loop, RabinowitzLoop):
+        return (loop.x, loop.tau)
+    return (loop.x, loop.eta, loop.zeta)
+
+
+# -- descent kernel ----------------------------------------------------------------
+
+# step policy of every descent run: first step, smallest step tried before
+# giving up, default largest step, Armijo constant, backtrack and growth
+DS0 = 1e-3
+DS_MIN = 1e-12
+DS_MAX = 5e-2
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+GROW = 1.3
+
+
+@dataclass
+class _Descent:
+    """A descent run so far: the current loop with its action and full
+    gradient, the flow time, the cumulative energy and the step count."""
+
+    loop: object
+    action: float
+    grad: tuple
+    s: float = 0.0
+    energy: float = 0.0
+    steps: int = 0
+
+
+def _descend(sys, loop, kmax, stop, on_step, ds_max=DS_MAX, max_steps=None, horizon=None):
+    """Explicit Euler descent along the negative gradient projected to the
+    modes |k| <= kmax, with Armijo backtracking on the action.
+
+    ``on_step(state, prev, ds)`` sees the start (prev None, ds 0) and each
+    accepted step.  Before a step the full gradient norm is tested, and
+    ``stop(norm)`` ends the run with (state, True).  The run also ends,
+    with (state, False), after ``max_steps`` steps or at flow time
+    ``horizon``, which clips the last step.  The energy is the trapezoidal
+    quadrature of <grad, -velocity> along each accepted chord.
+
+    Raises DivergenceError on a non-finite action or gradient or an action
+    beyond 1e100, StepSizeError if no step down to DS_MIN decreases it.
+    """
+    st = _Descent(loop, _action(sys, loop), _gradient(sys, loop))
+    nt = loop.nt
+    g_flow = _project_gradient(st.grad, kmax)
+    on_step(st, None, 0.0)
+    ds = DS0
+    while (max_steps is None or st.steps < max_steps) and (horizon is None or st.s < horizon):
+        full_norm = grad_norm(st.grad, nt)
+        if not (np.isfinite(full_norm) and np.isfinite(st.action)) or abs(st.action) > 1e100:
+            raise DivergenceError(
+                f"flow diverged (action {st.action:.3e}, gradient {full_norm:.3e})"
+            )
+        if stop(full_norm):
+            return st, True
+        flow_sq = _g_inner(g_flow, g_flow, nt)
+        while True:
+            if ds < DS_MIN:
+                raise StepSizeError(
+                    f"no action decrease at minimum step {DS_MIN:g} "
+                    f"(action {st.action:.12g}, grad {full_norm:.3e})"
+                )
+            step = ds if horizon is None else min(ds, horizon - st.s)
+            cand = _apply_step(st.loop, g_flow, step)
+            a_new = _action(sys, cand)
+            if not np.isfinite(a_new):
+                raise DivergenceError("action became non-finite; the flow diverged")
+            if a_new <= st.action - ARMIJO_C * step * flow_sq:
+                break
+            ds *= BACKTRACK
+
+        g_full_new = _gradient(sys, cand)
+        g_flow_new = _project_gradient(g_full_new, kmax)
+        vel = tuple((c - p) / step for c, p in zip(_parts(cand), _parts(st.loop)))
+        gmid = tuple(0.5 * (a + b) for a, b in zip(g_flow, g_flow_new))
+        st.energy += -step * _g_inner(gmid, vel, nt)
+        prev = st.loop
+        st.loop, st.action, st.grad = cand, a_new, g_full_new
+        g_flow = g_flow_new
+        st.s += step
+        st.steps += 1
+        on_step(st, prev, step)
+        ds = min(ds * GROW, ds_max)
+    return st, False
 
 
 # -- integration -----------------------------------------------------------------
@@ -354,17 +395,10 @@ class FlowDiagnostics:
 
 @dataclass(frozen=True)
 class IntegrateControls:
-    scheme: str = "explicit"          # "explicit" | "semi-implicit"
-    ds0: float = 1e-3
-    ds_min: float = 1e-12
-    ds_max: float = 5e-2
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.3
+    ds_max: float = DS_MAX
     eps_stop: float = 1e-7
     max_steps: int = 10**6
     freq_cutoff: int | None = 2
-    record_every: int = 1
 
 
 def _lem1_check(sys: ModelSystem, full_norm: float, max_abs_h: float) -> bool:
@@ -413,108 +447,43 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
     kmax = controls.freq_cutoff
     loop = _project_loop(loop0, kmax) if kmax is not None else loop0
     nt = loop.nt
-    zeta0_mean = math.fsum(loop.zeta.tolist()) / nt if isinstance(loop, ExtendedLoop) else 0.0
-
+    extended = isinstance(loop, ExtendedLoop)
+    zeta0_mean = math.fsum(loop.zeta.tolist()) / nt if extended else 0.0
     diags = FlowDiagnostics(h_sup=float(np.abs(sys.profile.plateau_value())))
-    a_cur = _action(sys, loop)
-    diags.action_start = a_cur
-    g_full = _gradient(sys, loop)
-    g_flow = _project_gradient(g_full, kmax)
-    ds = controls.ds0
-    energy = 0.0
-    s_cur = 0.0
 
-    def record(step):
-        full_norm = grad_norm(g_full, nt)
-        max_h, contained, spread = _observe(sys, loop)
-        if isinstance(loop, ExtendedLoop):
-            drift = math.fsum(loop.zeta.tolist()) / nt - zeta0_mean
-        else:
-            drift = 0.0
+    def record(st, prev, ds):
+        cur = st.loop
+        eta_resid = 0.0
+        if prev is not None:
+            # residual of the averaged multiplier ODE etahat' = integral H
+            if extended:
+                rate = (np.mean(cur.eta) - np.mean(prev.eta)) / ds
+            else:
+                rate = (cur.tau - prev.tau) / ds
+            eta_resid = abs(rate - float(np.mean(sys.hamiltonian(prev.x))))
+        full_norm = grad_norm(st.grad, nt)
+        max_h, contained, spread = _observe(sys, cur)
+        drift = math.fsum(cur.zeta.tolist()) / nt - zeta0_mean if extended else 0.0
         diags.rows.append(
             FlowStep(
-                step=step, s=s_cur, action=a_cur, grad_norm=full_norm,
-                energy_cum=energy, eta_avg_residual=eta_resid, zeta_drift=drift,
+                step=st.steps, s=st.s, action=st.action, grad_norm=full_norm,
+                energy_cum=st.energy, eta_avg_residual=eta_resid, zeta_drift=drift,
                 max_abs_h=max_h, containment=contained,
                 lem1_ok=_lem1_check(sys, full_norm, max_h), zeta_spread=spread,
             )
         )
 
-    eta_resid = 0.0
-    record(0)
-
-    n_accepted = 0
-    while n_accepted < controls.max_steps:
-        full_norm = grad_norm(g_full, nt)
-        if not (np.isfinite(full_norm) and np.isfinite(a_cur)) or abs(a_cur) > 1e100:
-            raise DivergenceError(
-                f"flow diverged (action {a_cur:.3e}, gradient {full_norm:.3e})"
-            )
-        if full_norm < controls.eps_stop:
-            diags.converged = True
-            diags.stop_reason = "gradient below threshold"
-            break
-        if controls.scheme == "semi-implicit":
-            # keep ds*mu well below the mode-solve resonance at 1: the
-            # implicit map magnifies the honest unstable rate mu by
-            # ln(1/(1-ds*mu))/(ds*mu), about 1.2 at 0.3
-            mu_max = 2.0 * np.pi * (kmax if kmax is not None else nt // 2)
-            ds = min(ds, 0.3 / max(mu_max, 1e-12))
-        flow_sq = _g_inner(g_flow, g_flow, nt)
-        accepted = False
-        while ds >= controls.ds_min:
-            if controls.scheme == "semi-implicit":
-                cand = _semi_implicit_step(sys, loop, g_flow, ds, kmax)
-            else:
-                cand = _apply_step(loop, g_flow, ds)
-            a_new = _action(sys, cand)
-            if not np.isfinite(a_new):
-                raise DivergenceError("action became non-finite; the flow diverged")
-            if a_new <= a_cur - controls.armijo_c * ds * flow_sq:
-                accepted = True
-                break
-            ds *= controls.backtrack
-        if not accepted:
-            raise StepSizeError(
-                f"no action decrease at minimum step {controls.ds_min:g} "
-                f"(action {a_cur:.12g}, grad {full_norm:.3e})"
-            )
-
-        g_full_new = _gradient(sys, cand)
-        g_flow_new = _project_gradient(g_full_new, kmax)
-        # trapezoidal quadrature of <grad, -velocity> along the accepted chord
-        if isinstance(loop, RabinowitzLoop):
-            vel = ((cand.x - loop.x) / ds, (cand.tau - loop.tau) / ds)
-        else:
-            vel = ((cand.x - loop.x) / ds, (cand.eta - loop.eta) / ds,
-                   (cand.zeta - loop.zeta) / ds)
-        gmid = tuple(0.5 * (a + b) for a, b in zip(g_flow, g_flow_new))
-        energy += -ds * _g_inner(gmid, vel, nt)
-        if isinstance(loop, ExtendedLoop):
-            eta_resid = abs(
-                (np.mean(cand.eta) - np.mean(loop.eta)) / ds
-                - float(np.mean(sys.hamiltonian(loop.x)))
-            )
-        else:
-            eta_resid = abs(
-                (cand.tau - loop.tau) / ds - float(np.mean(sys.hamiltonian(loop.x)))
-            )
-        loop, a_cur = cand, a_new
-        g_full, g_flow = g_full_new, g_flow_new
-        s_cur += ds
-        n_accepted += 1
-        if n_accepted % controls.record_every == 0:
-            record(n_accepted)
-        ds = min(ds * controls.grow, controls.ds_max)
-    else:
-        diags.stop_reason = "step budget exhausted"
-
-    if diags.rows and diags.rows[-1].step != n_accepted:
-        record(n_accepted)
-    diags.energy_total = energy
-    diags.action_end = a_cur
-    diags.target_component = identify_target(sys, loop)
-    return loop, diags
+    end, converged = _descend(
+        sys, loop, kmax, lambda norm: norm < controls.eps_stop, record,
+        ds_max=controls.ds_max, max_steps=controls.max_steps,
+    )
+    diags.converged = converged
+    diags.stop_reason = "gradient below threshold" if converged else "step budget exhausted"
+    diags.energy_total = end.energy
+    diags.action_start = diags.rows[0].action
+    diags.action_end = end.action
+    diags.target_component = identify_target(sys, end.loop)
+    return end.loop, diags
 
 
 # -- discrete critical loops -------------------------------------------------------
@@ -664,16 +633,7 @@ def loop_to_json(loop, file=None) -> str:
             "type": "extended", "x": loop.x.tolist(),
             "eta": loop.eta.tolist(), "zeta": loop.zeta.tolist(),
         }
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def loop_from_json(source):
@@ -693,7 +653,7 @@ def loop_from_json(source):
     )
 
 
-def diagnostics_to_csv(diags: FlowDiagnostics, file=None, extra_columns=None) -> str:
+def diagnostics_to_csv(diags: FlowDiagnostics, file=None) -> str:
     """Diagnostics stream: one row per recorded step, spec'd column order."""
     header = ",".join(DIAG_COLUMNS)
     lines = [header]
@@ -713,13 +673,4 @@ def diagnostics_to_csv(diags: FlowDiagnostics, file=None, extra_columns=None) ->
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, "\n".join(lines) + "\n")

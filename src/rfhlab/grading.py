@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._files import write_text
 from .model import ModelSystem
 from .rsindex import HalfInteger, block_diag, rotation_path, rs_index, theta_path
 
@@ -208,7 +209,8 @@ def assemble_hybrid_index(
     if lambda_sign not in (-1, 1):
         raise ValueError("lambda_sign must be +1 or -1 (regularity scalar sign)")
     k_corr = boundary_correction_term(n)
-    assert k_corr == 0
+    if k_corr != 0:
+        raise IndexArithmeticError(f"boundary correction term is {k_corr}, not 0")
 
     twice_a = mu_rs_w1.twice_value - nu_w1          # 2 * (mu_rs(W1) - nu(W1)/2)
     twice_b = mu_rs_w2.twice_value - nu_w2          # 2 * (mu_rs(W2) - nu(W2)/2)
@@ -263,7 +265,11 @@ def fredholm_index(mode: str, lower, upper, lambda_sign: int | None = None) -> i
             nu_w2 = dim_lam
             mu_rs_w2 = HalfInteger(-2 * mu_lam - nu_w2)
             idx, mk, ml = assemble_hybrid_index(mu_rs_w1, nu_w1, mu_rs_w2, nu_w2, sign, n=lc.n)
-            assert (mk, ml) == (mu_k, mu_lam)
+            if (mk, ml) != (mu_k, mu_lam):
+                raise IndexArithmeticError(
+                    f"branch {sign:+d} re-assembled (mu_K, mu_Lambda) = ({mk}, {ml}), "
+                    f"expected ({mu_k}, {mu_lam})"
+                )
             results.append(idx)
         if results[0] != results[1]:
             raise IndexArithmeticError("hybrid index depends on the regularity sign")
@@ -348,16 +354,7 @@ def components_to_json(components, file=None) -> str:
         }
         for c in components
     ]
-    text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, json.dumps(rows, sort_keys=True, indent=2) + "\n")
 
 
 def components_from_json(source) -> list[CriticalComponent]:
@@ -396,13 +393,4 @@ def index_report_csv(components, file=None) -> str:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, "\n".join(lines) + "\n")

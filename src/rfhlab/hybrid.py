@@ -36,15 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import write_text
 from .gradflow import (
     ExtendedLoop,
     RabinowitzLoop,
+    _descend,
     _fourier_basis,
     _pack_dim,
-    _shift,
     action_extended,
     action_rabinowitz,
-    fourier_project,
     grad_norm,
     gradient_extended,
     gradient_rabinowitz,
@@ -72,6 +72,10 @@ class CouplingError(RuntimeError):
     """The coupling residual at s = 0 failed to stay at machine size."""
 
 
+class ActionChainError(RuntimeError):
+    """The action increased along a relaxed half-trajectory."""
+
+
 def couple_loops(minus_loop: RabinowitzLoop, zeta_ref: np.ndarray | float, kappa: float = 1.0) -> ExtendedLoop:
     """Project a free-period loop to the coupled fixed-period initial loop."""
     nt = minus_loop.nt
@@ -83,7 +87,8 @@ def couple_loops(minus_loop: RabinowitzLoop, zeta_ref: np.ndarray | float, kappa
 
 @dataclass
 class HalfRun:
-    """One relaxed half-trajectory with its per-step records."""
+    """One relaxed half-trajectory: its start and end loops, per-step
+    scalar series, and sup values folded in as the run goes."""
 
     s: list[float] = field(default_factory=list)
     loops: list = field(default_factory=list)
@@ -91,10 +96,25 @@ class HalfRun:
     grad_norms: list[float] = field(default_factory=list)
     energy_cum: list[float] = field(default_factory=list)
     frozen_from: float | None = None
+    eta_inf: float = 0.0
+    zeta_spread_inf: float = 0.0
+    contained: bool = True
 
     @property
     def energy(self) -> float:
         return self.energy_cum[-1] if self.energy_cum else 0.0
+
+    def observe(self, loop, r_plateau: float):
+        """Fold one loop into the sup of |eta|, the zeta spread and containment."""
+        if isinstance(loop, RabinowitzLoop):
+            self.eta_inf = max(self.eta_inf, abs(loop.tau))
+        else:
+            self.eta_inf = max(self.eta_inf, float(np.max(np.abs(loop.eta))))
+            spread = float(np.max(np.abs(loop.zeta - np.mean(loop.zeta))))
+            self.zeta_spread_inf = max(self.zeta_spread_inf, spread)
+        self.contained = self.contained and (
+            float(np.max(np.linalg.norm(loop.x, axis=1))) <= r_plateau + 1e-9
+        )
 
 
 @dataclass
@@ -127,11 +147,6 @@ class HybridControls:
     horizon: float = 20.0
     max_doublings: int = 3
     end_tol: float = 1e-6
-    ds0: float = 1e-3
-    ds_max: float = 5e-2
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.3
     freq_cutoff: int | None = 1
     kappa: float = 1.0
 
@@ -163,87 +178,30 @@ def initial_hybrid_state(
     return HybridState(minus=minus, plus=plus, horizon=controls.horizon, kappa=controls.kappa)
 
 
-def _half_flow(sys, loop, s_offset: float, horizon: float, controls: HybridControls) -> HalfRun:
-    """Explicit negative-gradient half-run over flow time ``horizon``.
+def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridControls) -> HalfRun:
+    """Negative-gradient half-run over flow time ``horizon``.
 
     Records every accepted step; freezes (stops stepping) once the full
-    gradient drops below the end tolerance, since past that point the
+    gradient drops to the end tolerance, since past that point the
     trajectory stays within end_tol/rate of the frozen loop.
     """
-    kmax = controls.freq_cutoff
-    is_rab = isinstance(loop, RabinowitzLoop)
-    grad = gradient_rabinowitz if is_rab else gradient_extended
-    act = action_rabinowitz if is_rab else action_extended
-    nt = loop.nt
-
-    def project(g):
-        if kmax is None:
-            return g
-        if is_rab:
-            return (fourier_project(g[0], kmax), g[1])
-        return tuple(fourier_project(a, kmax) for a in g)
-
-    def inner(g1, g2):
-        if is_rab:
-            return float(np.sum(g1[0] * g2[0])) / nt + g1[1] * g2[1]
-        return (
-            float(np.sum(g1[0] * g2[0])) + float(np.sum(g1[1] * g2[1]))
-            + float(np.sum(g1[2] * g2[2]))
-        ) / nt
-
     run = HalfRun()
-    a_cur = act(sys, loop)
-    g_full = grad(sys, loop)
-    g_flow = project(g_full)
-    s = 0.0
-    run.s.append(s_offset + s)
-    run.loops.append(loop)
-    run.actions.append(a_cur)
-    run.grad_norms.append(grad_norm(g_full, nt))
-    run.energy_cum.append(0.0)
-    energy = 0.0
-    ds = controls.ds0
+    r_plateau = sys.profile.r_plateau
 
-    while s < horizon:
-        if grad_norm(g_full, nt) <= controls.end_tol:
-            run.frozen_from = s_offset + s
-            break
-        flow_sq = inner(g_flow, g_flow)
-        accepted = False
-        while ds >= 1e-12:
-            ds_eff = min(ds, horizon - s)
-            if is_rab:
-                cand = RabinowitzLoop(x=loop.x - ds_eff * g_flow[0], tau=loop.tau - ds_eff * g_flow[1])
-            else:
-                cand = ExtendedLoop(
-                    x=loop.x - ds_eff * g_flow[0], eta=loop.eta - ds_eff * g_flow[1],
-                    zeta=loop.zeta - ds_eff * g_flow[2],
-                )
-            a_new = act(sys, cand)
-            if np.isfinite(a_new) and a_new <= a_cur - controls.armijo_c * ds_eff * flow_sq:
-                accepted = True
-                break
-            ds *= controls.backtrack
-        if not accepted:
-            raise RuntimeError("half-run could not decrease the action")
-        g_full_new = grad(sys, cand)
-        g_flow_new = project(g_full_new)
-        gmid = tuple(0.5 * (p + q) for p, q in zip(g_flow, g_flow_new))
-        if is_rab:
-            vel = ((cand.x - loop.x) / ds_eff, (cand.tau - loop.tau) / ds_eff)
-        else:
-            vel = ((cand.x - loop.x) / ds_eff, (cand.eta - loop.eta) / ds_eff,
-                   (cand.zeta - loop.zeta) / ds_eff)
-        energy += -ds_eff * inner(gmid, vel)
-        loop, a_cur = cand, a_new
-        g_full, g_flow = g_full_new, g_flow_new
-        s += ds_eff
-        run.s.append(s_offset + s)
-        run.loops.append(loop)
-        run.actions.append(a_cur)
-        run.grad_norms.append(grad_norm(g_full, nt))
-        run.energy_cum.append(energy)
-        ds = min(ds * controls.grow, controls.ds_max)
+    def record(st, prev, ds):
+        run.s.append(s_offset + st.s)
+        run.actions.append(st.action)
+        run.grad_norms.append(grad_norm(st.grad, st.loop.nt))
+        run.energy_cum.append(st.energy)
+        run.observe(st.loop, r_plateau)
+
+    end, frozen = _descend(
+        sys, loop, controls.freq_cutoff, lambda norm: norm <= controls.end_tol, record,
+        horizon=horizon,
+    )
+    run.loops = [loop, end.loop]
+    if frozen:
+        run.frozen_from = s_offset + end.s
     return run
 
 
@@ -279,22 +237,22 @@ def hybrid_relax(
     The horizon doubles (re-sweeping from the same input) until the plus
     end gradient passes the end tolerance or the doubling budget runs out.
 
-    Returns (relaxed HybridState, HybridDiagnostics).  The action chain
-    and the summed-energy identity are checked and recorded; a coupling
-    residual above rounding raises CouplingError.
+    Returns (relaxed HybridState, HybridDiagnostics).  The summed-energy
+    identity is recorded; a coupling residual above rounding raises
+    CouplingError, an action increase along either half ActionChainError.
+    Half-runs raise StepSizeError and DivergenceError as ``integrate`` does.
     """
     minus_input = state.minus.loops[0]
     sigma_ref = float(np.mean(state.plus.loops[0].zeta))
     horizon = state.horizon
     kappa = state.kappa
 
-    diags = HybridDiagnostics()
     sweeps = 0
     while True:
         sweeps += 1
-        minus = _half_flow(sys, minus_input, -horizon, horizon, controls)
+        minus = _half_run(sys, minus_input, -horizon, horizon, controls)
         plus0 = couple_loops(minus.loops[-1], sigma_ref, kappa)
-        plus = _half_flow(sys, plus0, 0.0, horizon, controls)
+        plus = _half_run(sys, plus0, 0.0, horizon, controls)
         end_grad = plus.grad_norms[-1]
         if end_grad <= controls.end_tol or sweeps > controls.max_doublings:
             break
@@ -306,43 +264,30 @@ def hybrid_relax(
     if max(r_loop, r_eta) > 1e-12:
         raise CouplingError(f"coupling residuals {r_loop:.3e}, {r_eta:.3e} exceed rounding")
 
-    a_minus_end = minus.actions[-1]
-    a_plus_start = plus.actions[0]
-    chain_ok = (
-        all(b <= a + 1e-12 for a, b in zip(minus.actions, minus.actions[1:]))
-        and all(b <= a + 1e-12 for a, b in zip(plus.actions, plus.actions[1:]))
-    )
-    assert chain_ok, "action chain increased along a relaxed half-trajectory"
-    mid_res = abs(a_minus_end - a_plus_start) if kappa == 1.0 else float("nan")
+    for side, run in (("minus", minus), ("plus", plus)):
+        if not all(b <= a + 1e-12 for a, b in zip(run.actions, run.actions[1:])):
+            raise ActionChainError(f"action increased along the relaxed {side} half-trajectory")
+    mid_res = abs(minus.actions[-1] - plus.actions[0]) if kappa == 1.0 else float("nan")
 
     e_m, e_p = minus.energy, plus.energy
-    identity_res = abs((e_m + e_p) - (minus.actions[0] - plus.actions[-1]))
-
-    eta_plus_inf = max(float(np.max(np.abs(l.eta))) for l in plus.loops)
-    zeta_spread = max(
-        float(np.max(np.abs(l.zeta - np.mean(l.zeta)))) for l in plus.loops
+    diags = HybridDiagnostics(
+        sweeps=sweeps,
+        horizon=horizon,
+        coupling_residual_loop=r_loop,
+        coupling_residual_eta=r_eta,
+        mid_action_residual=mid_res,
+        action_chain_ok=True,
+        energy_minus=e_m,
+        energy_plus=e_p,
+        energy_identity_residual=abs((e_m + e_p) - (minus.actions[0] - plus.actions[-1])),
+        end_grad_minus_input=minus.grad_norms[0],
+        end_grad_plus=plus.grad_norms[-1],
+        converged=plus.grad_norms[-1] <= controls.end_tol,
+        eta_minus_inf=minus.eta_inf,
+        eta_plus_inf=plus.eta_inf,
+        zeta_spread_inf=plus.zeta_spread_inf,
+        contained=minus.contained and plus.contained,
     )
-    contained = all(
-        float(np.max(np.linalg.norm(l.x, axis=1))) <= sys.profile.r_plateau + 1e-9
-        for l in list(minus.loops) + list(plus.loops)
-    )
-
-    diags.sweeps = sweeps
-    diags.horizon = horizon
-    diags.coupling_residual_loop = r_loop
-    diags.coupling_residual_eta = r_eta
-    diags.mid_action_residual = mid_res
-    diags.action_chain_ok = chain_ok
-    diags.energy_minus = e_m
-    diags.energy_plus = e_p
-    diags.energy_identity_residual = identity_res
-    diags.end_grad_minus_input = minus.grad_norms[0]
-    diags.end_grad_plus = plus.grad_norms[-1]
-    diags.converged = plus.grad_norms[-1] <= controls.end_tol
-    diags.eta_minus_inf = max(abs(l.tau) for l in minus.loops)
-    diags.eta_plus_inf = eta_plus_inf
-    diags.zeta_spread_inf = zeta_spread
-    diags.contained = contained
     return out, diags
 
 
@@ -580,13 +525,4 @@ def hybrid_diagnostics_to_csv(state: HybridState, file=None) -> str:
                     ]
                 )
             )
-    text = "\n".join(lines) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, "\n".join(lines) + "\n")

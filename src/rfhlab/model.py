@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._files import write_text
 from .symlin import standard_jmat
 
 __all__ = [
@@ -347,16 +348,7 @@ def model_to_json(sys: ModelSystem, file=None) -> str:
         "r_plateau": sys.profile.r_plateau,
         "h_thr": sys.h_thr,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def model_from_json(source) -> ModelSystem:

@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._files import write_text
 from .symlin import SymmetricForm, signature, standard_jmat, symplectic_defect
 
 __all__ = [
@@ -780,15 +781,8 @@ def save_path_csv(path: SymplecticPath, file) -> None:
     d = path.dim
     header = ",".join(["t"] + [f"m{i}{j}" for i in range(d) for j in range(d)])
     rows = np.column_stack([path.ts, path.mats.reshape(len(path.ts), d * d)])
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in rows]
+    write_text(file, "\n".join(lines) + "\n")
 
 
 def load_path_csv(file, form: np.ndarray | None = None, tol: float = 1e-6) -> SymplecticPath:
@@ -799,6 +793,12 @@ def load_path_csv(file, form: np.ndarray | None = None, tol: float = 1e-6) -> Sy
     back to cubic interpolation of the samples.
     """
     data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"non-finite sample {data[row, col]} in data row {row + 1}, column {col + 1}"
+        )
     ts = data[:, 0]
     n_entries = data.shape[1] - 1
     d = int(round(np.sqrt(n_entries)))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import read_text, write_text
+
 __all__ = [
     "Generator",
     "FilteredZ2Complex",
@@ -315,27 +317,12 @@ def save_instance(file, c: FilteredZ2Complex, m: ChainMapMatrix | None = None) -
     if m is not None:
         for src, dst in sorted(m.off_diag | {(g.id, g.id) for g in m.generators}):
             lines.append(f"phi {src} {dst}")
-    text = "\n".join(lines) + "\n"
-    if file is not None:
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            fh.write(text)
-        finally:
-            if own:
-                fh.close()
-    return text
+    return write_text(file, "\n".join(lines) + "\n")
 
 
 def load_instance(file):
     """Read an instance file; returns (complex, chain map or None)."""
-    own = isinstance(file, (str, bytes))
-    fh = open(file) if own else file
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
+    text = read_text(file)
     gens, bnd, phi = [], [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

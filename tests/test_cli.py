@@ -1,6 +1,4 @@
 import filecmp
-import io
-import os
 
 import numpy as np
 import pytest
@@ -61,6 +59,54 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     save_path_csv(p, str(csv))
     assert run(["index", "--csv", str(csv)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_hybrid_escape_exits_three(capsys):
+    assert run(["hybrid", "--amplitude", "1e-2"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def _nan_csv(tmp_path):
+    csv = tmp_path / "nan.csv"
+    save_path_csv(rotation_path(1, 2 * np.pi, n_samples=9), str(csv))
+    lines = csv.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[2] = "nan"
+    lines[4] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    return str(csv)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["flow", "--tol", "-1", "--steps", "50"], "--tol"),
+    (["flow", "--tol", "0"], "--tol"),
+    (["flow", "--tol", "nan"], "--tol"),
+    (["index", "--theta", "tau=1", "hp=1", "hpp=1", "--tol", "inf"], "--tol"),
+    (["flow", "--steps", "0"], "--steps"),
+    (["hybrid", "--steps", "-3"], "--steps"),
+    (["flow", "--amplitude=-1e-5"], "--amplitude"),
+    (["hybrid", "--amplitude", "nan"], "--amplitude"),
+    (["hybrid", "--horizon", "0"], "--horizon"),
+    (["hybrid", "--horizon", "-2"], "--horizon"),
+    (["hybrid", "--horizon", "inf"], "--horizon"),
+    (["index", "--csv", "NAN_CSV"], "data row 4, column 3"),
+])
+def test_bad_numbers_exit_two_naming_the_flag(tmp_path, capsys, argv, named):
+    argv = [_nan_csv(tmp_path) if a == "NAN_CSV" else a for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+def test_index_arithmetic_error_exits_four(monkeypatch, capsys):
+    from rfhlab import grading
+    from rfhlab.rsindex import HalfInteger
+
+    monkeypatch.setattr(grading, "boundary_correction_term", lambda n: 1)
+    with pytest.raises(grading.IndexArithmeticError, match="boundary correction"):
+        grading.assemble_hybrid_index(HalfInteger(3), 1, HalfInteger(-4), 2, 1)
+    assert run(["selftest", "--only", "6"]) == 4
+    assert "IndexArithmeticError" in capsys.readouterr().err
 
 
 def test_invariant_violation_exits_four(tmp_path, capsys):
@@ -127,14 +173,6 @@ def test_selftest_quick_subset(tmp_path, capsys):
 
 def test_selftest_rejects_unknown_criterion(capsys):
     assert run(["selftest", "--only", "42"]) == 2
-    capsys.readouterr()
-
-
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("RFHLAB_THREADS", "zero")
-    assert run(["grade", "--constants", "n=1"]) == 2
-    monkeypatch.setenv("RFHLAB_THREADS", "2")
-    assert run(["grade", "--constants", "n=1"]) == 0
     capsys.readouterr()
 
 

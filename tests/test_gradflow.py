@@ -213,20 +213,6 @@ def test_integrate_rabinowitz_flavor(sys1, orbit):
     assert d.target_component == "orbit+1"
 
 
-def test_integrate_semi_implicit_descends_with_identities(sys1):
-    base = lift_loop(discrete_constant_loop(sys1, nt=NT), sigma=0.3)
-    start = stable_perturbation(sys1, base, np.random.default_rng(8),
-                                kmax=1, amplitude=1e-4, rate_min=2.0)
-    _, d = integrate(sys1, start, IntegrateControls(scheme="semi-implicit",
-                                                    freq_cutoff=1, max_steps=18,
-                                                    eps_stop=1e-12))
-    assert d.actions_non_increasing
-    assert d.rows[-1].grad_norm < d.rows[0].grad_norm / 3.0
-    assert d.max_eta_residual <= 1e-6
-    assert d.max_zeta_drift <= 1e-10
-    assert d.energy_identity_residual <= 1e-6
-
-
 def test_flow_map_r_star_equivariance(sys1, lifted):
     start = stable_perturbation(sys1, lifted, np.random.default_rng(9),
                                 kmax=1, amplitude=1e-5, rate_min=2.0)

@@ -143,6 +143,21 @@ def test_fredholm_hybrid_branches_agree():
     assert plus == cascade_dims("hybrid", lo, up) - lo.dim_k - up.dim_lambda
 
 
+def test_fredholm_branch_mismatch_is_named(monkeypatch):
+    import rfhlab.grading as grading
+
+    real = grading.assemble_hybrid_index
+
+    def off_by_one(*args, **kwargs):
+        idx, mk, ml = real(*args, **kwargs)
+        return idx, mk + 1, ml
+
+    monkeypatch.setattr(grading, "assemble_hybrid_index", off_by_one)
+    with pytest.raises(IndexArithmeticError, match="re-assembled"):
+        fredholm_index("hybrid", _component(4, 1, ident="lo"), _component(2, 1, ident="up"),
+                       lambda_sign=1)
+
+
 def test_fredholm_hybrid_requires_sign():
     c = _component(4, 1)
     with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from rfhlab import cli
+from rfhlab import hybrid as hy
 from rfhlab.gradflow import (
+    DivergenceError,
     ExtendedLoop,
+    StepSizeError,
     discrete_constant_loop,
     discrete_orbit_loop,
     lift_loop,
@@ -163,3 +167,40 @@ def test_horizon_doubles_until_plus_end_relaxes(sys1, orbit):
     assert d.converged
     assert d.horizon > 0.5  # at least one doubling happened
     assert d.sweeps >= 2
+
+
+def test_escaping_start_raises_numerical_failure(sys1, orbit):
+    # the start of `rfhlab hybrid --amplitude 1e-2`: the half-runs leave the
+    # contracting cone and must fail with the flow's own errors
+    pert = stable_perturbation(sys1, orbit, np.random.default_rng(0), kmax=1,
+                               amplitude=1e-2, rate_min=0.5)
+    state = initial_hybrid_state(sys1, pert)
+    with pytest.raises((StepSizeError, DivergenceError)):
+        hybrid_relax(sys1, state)
+
+
+def test_half_run_keeps_end_loops_and_sup_values(sys1, orbit):
+    rng = np.random.default_rng(42)
+    pert = stable_perturbation(sys1, orbit, rng, kmax=1, amplitude=3e-6, rate_min=0.5)
+    out, d = hybrid_relax(sys1, initial_hybrid_state(sys1, pert, sigma=0.5))
+    assert len(out.minus.loops) == len(out.plus.loops) == 2
+    assert out.minus.loops[0] is pert
+    assert len(out.minus.s) > 2  # many steps taken, two loops kept
+    assert d.eta_minus_inf >= abs(pert.tau)
+    assert d.eta_plus_inf == pytest.approx(d.eta_minus_inf, rel=1e-5)
+    assert 0.0 <= d.zeta_spread_inf <= 1e-9
+
+
+def test_action_chain_violation_is_named_and_exits_four(sys1, orbit, monkeypatch, capsys):
+    real = hy._half_run
+
+    def rising(*args, **kwargs):
+        run = real(*args, **kwargs)
+        run.actions.append(run.actions[-1] + 1.0)
+        return run
+
+    monkeypatch.setattr(hy, "_half_run", rising)
+    with pytest.raises(hy.ActionChainError):
+        hybrid_relax(sys1, initial_hybrid_state(sys1, orbit))
+    assert cli.main(["hybrid"]) == 4
+    assert "ActionChainError" in capsys.readouterr().err
