@@ -181,6 +181,10 @@ def _cmd_flow(args) -> int:
         gf.loop_to_json(loop, args.snapshot)
     print(f"flow: converged={diags.converged} target={diags.target_component} "
           f"steps={len(diags.rows) - 1}")
+    if not diags.converged:
+        print(f"numerical failure: {diags.stop_reason} after {args.steps} steps "
+              f"(gradient still above --tol {args.tol:g})", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -154,6 +154,17 @@ def test_flow_outputs_are_deterministic(tmp_path):
     assert filecmp.cmp(outs[0], outs[1], shallow=False)
 
 
+def test_flow_step_budget_exhausted_exits_three(tmp_path, capsys):
+    out = tmp_path / "diag.csv"
+    snap = tmp_path / "loop.json"
+    assert run(["flow", "--steps", "5", "--out", str(out), "--snapshot", str(snap)]) == 3
+    captured = capsys.readouterr()
+    assert "flow: converged=False" in captured.out
+    assert captured.err.startswith("numerical failure: step budget exhausted")
+    assert len(out.read_text().splitlines()) == 1 + 6  # header, start row, 5 steps
+    assert snap.exists()
+
+
 def test_hybrid_subcommand(tmp_path):
     out = tmp_path / "hyb.csv"
     assert run(["hybrid", "--start", "orbit", "--amplitude", "3e-6",

@@ -2,12 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfhlab.z2complex import (
     ChainMapMatrix,
     FiltrationError,
     FilteredZ2Complex,
     Generator,
+    _sorted_ids,
+    _tri_inverse,
     GradingError,
     NotInvertibleError,
     boundary_apply,
@@ -25,6 +29,117 @@ from rfhlab.z2complex import (
     verify_chain_map,
     verify_d_squared,
 )
+
+# -- reference oracles: the earlier loop implementations -------------------------
+
+
+def ref_gf2_matmul(a, b):
+    return (a.astype(np.int32) @ b.astype(np.int32) % 2).astype(np.uint8)
+
+
+def ref_gf2_rank(m):
+    """Gauss-Jordan elimination with one XOR row operation per entry."""
+    r = (np.asarray(m, dtype=np.uint8) % 2).copy()
+    rows, cols = r.shape
+    rank = 0
+    for col in range(cols):
+        pivot = -1
+        for row in range(rank, rows):
+            if r[row, col]:
+                pivot = row
+                break
+        if pivot < 0:
+            continue
+        if pivot != rank:
+            r[[rank, pivot]] = r[[pivot, rank]]
+        for row in range(rows):
+            if row != rank and r[row, col]:
+                r[row] ^= r[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def ref_neumann_inverse(t):
+    """(I + N)^-1 = I + N + N^2 + ... over Z2, for nilpotent N."""
+    eye = np.eye(len(t), dtype=np.uint8)
+    nmat = t ^ eye
+    t_inv = eye.copy()
+    power = nmat.copy()
+    while power.any():
+        t_inv ^= power
+        power = ref_gf2_matmul(power, nmat)
+    return t_inv
+
+
+def ref_phi_invert(m):
+    """Off-diagonal pairs of the inverse by the action recursion: the entry
+    from source to target is the Z2 sum over counts(mid, target) times the
+    already known entry from source to mid."""
+    gens = m.generators
+    actions = {g.id: g.action for g in gens}
+    into = {g.id: [] for g in gens}
+    for src, dst in m.off_diag:
+        into[dst].append(src)
+    pairs = set()
+    order_desc = _sorted_ids(gens)
+    for source in order_desc:
+        m_row = {source: 1}
+        for target in order_desc:
+            if target == source or actions[target] >= actions[source]:
+                continue
+            total = 0
+            for mid in into[target]:
+                total ^= m_row.get(mid, 0)
+            if total:
+                m_row[target] = 1
+                pairs.add((source, target))
+    return pairs
+
+
+def ref_random_triangular(rng, n_gens=16, density=0.3):
+    gens = [
+        Generator(id=f"g{i}", degree=int(rng.integers(0, 3)), action=float(i) + 1.0)
+        for i in range(n_gens)
+    ]
+    pairs = set()
+    for i in range(n_gens):
+        for j in range(i):
+            if rng.random() < density:
+                pairs.add((f"g{i}", f"g{j}"))
+    return gens, pairs
+
+
+def ref_random_filtered_complex(rng, n_gens=12):
+    n_pairs = n_gens // 2
+    gens = []
+    for i in range(n_pairs):
+        deg = int(rng.integers(1, 4))
+        act = float(rng.uniform(1.0, 3.0))
+        gens.append(Generator(id=f"a{i}", degree=deg, action=act))
+        gens.append(Generator(id=f"b{i}", degree=deg - 1, action=act - float(rng.uniform(0.1, 0.9))))
+    order = _sorted_ids(gens)
+    by_id = {g.id: g for g in gens}
+    idx = {g: i for i, g in enumerate(order)}
+    n = len(order)
+    d = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n_pairs):
+        d[idx[f"b{i}"], idx[f"a{i}"]] = 1
+    t = np.eye(n, dtype=np.uint8)
+    for i, gi in enumerate(order):
+        for j, gj in enumerate(order):
+            if (
+                by_id[gi].action < by_id[gj].action - 1e-9
+                and by_id[gi].degree == by_id[gj].degree
+                and rng.random() < 0.4
+            ):
+                t[i, j] = 1
+    d_conj = ref_gf2_matmul(ref_gf2_matmul(t, d), ref_neumann_inverse(t))
+    return gens, {(order[src], order[dst]) for dst, src in np.argwhere(d_conj == 1)}
+
+
+SIZES = (1, 2, 5, 63, 64, 65, 130, 256)
 
 
 def _hand_instance():
@@ -216,3 +331,110 @@ def test_homology_ungraded_bucket():
     c = FilteredZ2Complex(gens, [("a", "b")])
     ranks = homology(c)
     assert ranks[None] == 1  # ker/im: 3 - 2*rank(1)
+
+
+def test_homology_rejects_nonzero_square_with_witness():
+    gens = _hand_instance().generators
+    bad = FilteredZ2Complex(gens, [("a", "b"), ("a", "c"), ("b", "d")])
+    with pytest.raises(ValueError, match=r"witness \('a', 'd'\)"):
+        homology(bad)
+
+
+# -- array kernels against the reference oracles ------------------------------------
+
+
+def _tied_chain_map(rng, n, density):
+    """Actions on few levels, so that many generators tie; tied pairs carry
+    no entry in the map or in its inverse."""
+    gens = [Generator(f"t{i}", None, float(rng.integers(0, max(2, n // 4)))) for i in range(n)]
+    pairs = [(a.id, b.id) for a in gens for b in gens
+             if a.action > b.action and rng.random() < density]
+    return ChainMapMatrix(gens, pairs)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_phi_invert_matches_recursion(n):
+    rng = np.random.default_rng(1000 + n)
+    for m in (random_triangular(rng, n, density=0.3), _tied_chain_map(rng, n, 0.2)):
+        assert phi_invert(m).off_diag == ref_phi_invert(m)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tri_inverse_matches_neumann_series(n):
+    rng = np.random.default_rng(2000 + n)
+    # sparse enough at n=256 that the reference series stays short
+    nil = np.tril(rng.random((n, n)) < min(0.3, 8 / n), -1).astype(np.uint8)
+    inv = _tri_inverse(nil)
+    assert inv.dtype == np.uint8
+    assert np.array_equal(inv, ref_neumann_inverse(nil ^ np.eye(n, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_gf2_matmul_matches_integer_product(n):
+    rng = np.random.default_rng(3000 + n)
+    a = rng.integers(0, 2, (n, n + 3), dtype=np.uint8)
+    b = rng.integers(0, 2, (n + 3, 7), dtype=np.uint8)
+    got = gf2_matmul(a, b)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, ref_gf2_matmul(a, b))
+    sq = rng.integers(0, 2, (n, n), dtype=np.uint8)
+    assert np.array_equal(gf2_matmul(sq, sq), ref_gf2_matmul(sq, sq))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_gf2_rank_matches_elimination(n):
+    rng = np.random.default_rng(4000 + n)
+    for shape in ((n, n), (n, n + 37), (n + 37, n), (n, 1), (1, n)):
+        for density in (0.05, 0.5):
+            a = (rng.random(shape) < density).astype(np.uint8)
+            assert gf2_rank(a) == ref_gf2_rank(a)
+    k = max(1, n // 3)
+    low_rank = ref_gf2_matmul(rng.integers(0, 2, (n, k), dtype=np.uint8),
+                              rng.integers(0, 2, (k, n + 11), dtype=np.uint8))
+    assert gf2_rank(low_rank) == ref_gf2_rank(low_rank)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_random_triangular_draws_match_loop(n):
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    m = random_triangular(rng, n, density=0.35)
+    gens, pairs = ref_random_triangular(ref_rng, n, density=0.35)
+    assert m.generators == gens
+    assert m.off_diag == pairs
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_random_filtered_complex_draws_match_loop(n):
+    rng, ref_rng = np.random.default_rng(5000 + n), np.random.default_rng(5000 + n)
+    c = random_filtered_complex(rng, n)
+    gens, pairs = ref_random_filtered_complex(ref_rng, n)
+    assert c.generators == gens
+    assert c.pairs == pairs
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 130), cols=st.integers(1, 130),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_planted_rank_and_transpose(rows, cols, seed, data):
+    r = data.draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(seed)
+    # unit triangular factors are invertible, so L[:, :r] and U[:r, :] have rank r
+    low = np.tril(rng.integers(0, 2, (rows, rows), dtype=np.uint8), -1) | np.eye(rows, dtype=np.uint8)
+    up = np.triu(rng.integers(0, 2, (cols, cols), dtype=np.uint8), 1) | np.eye(cols, dtype=np.uint8)
+    planted = ref_gf2_matmul(low[:, :r], up[:r, :])
+    planted = planted[rng.permutation(rows)][:, rng.permutation(cols)]
+    assert gf2_rank(planted) == r
+    a = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    assert gf2_rank(a) == gf2_rank(a.T)
+
+
+def test_phi_invert_n1024_smoke():
+    n = 1024
+    m = random_triangular(np.random.default_rng(1024), n)
+    inv = phi_invert(m)
+    _, p = phi_matrix(m)
+    _, q = phi_matrix(inv)
+    assert np.array_equal(gf2_matmul(p, q), np.eye(n, dtype=np.uint8))
+    assert phi_invert(inv).off_diag == m.off_diag
