@@ -201,8 +201,7 @@ def _cmd_hybrid(args) -> int:
     if args.amplitude > 0:
         base = gf.stable_perturbation(sy, base, rng, kmax=args.cutoff or 1,
                                       amplitude=args.amplitude, rate_min=rate_min)
-    controls = hy.HybridControls(horizon=args.horizon, freq_cutoff=args.cutoff,
-                                 kappa=args.kappa)
+    controls = hy.HybridControls(horizon=args.horizon, freq_cutoff=args.cutoff)
     state = hy.initial_hybrid_state(sy, base, sigma=args.sigma, controls=controls)
     out, diags = hy.hybrid_relax(sy, state, controls)
     text = hy.hybrid_diagnostics_to_csv(out)
@@ -220,6 +219,11 @@ def _cmd_hybrid(args) -> int:
     _write_text(args.out, text)
     print(f"hybrid: converged={diags.converged} sweeps={diags.sweeps} "
           f"energy={diags.energy_minus + diags.energy_plus:.6g}")
+    if not diags.converged:
+        print(f"numerical failure: plus end gradient {diags.end_grad_plus:.3e} still above "
+              f"the end tolerance after {diags.sweeps} sweeps (horizon {diags.horizon:g})",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -327,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=0.0)
     p.add_argument("--cutoff", type=int, default=1)
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--kappa", type=float, default=1.0)
     p.set_defaults(func=_cmd_hybrid)
 
     p = sub.add_parser("complex", help="verify and reduce a chain-complex instance")

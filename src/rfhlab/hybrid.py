@@ -4,12 +4,12 @@ A hybrid configuration is a pair: a free-period trajectory v = (u-, eta-)
 on (-S, 0] and a fixed-period trajectory u~ = (u+, eta+, zeta+) on [0, S),
 coupled by
 
-    u+(0, t) = u-(0, t)   and   eta+(0, t) = kappa * eta-(0)   for all t,
+    u+(0, t) = u-(0, t)   and   eta+(0, t) = eta-(0)   for all t.
 
-with kappa = 1 the geometric coupling.  Because eta+(0, .) is constant in
-t, the two action values agree exactly at the matching time, giving the
-chain  A(v(-s)) >= A(v(0)) = A~(u~(0)) >= A~(u~(s))  and the sharp energy
-identity  E(v) + E(u~) = A(v(-S)) - A~(u~(S))  up to quadrature error.
+Because eta+(0, .) is constant in t, the two action values agree exactly
+at the matching time, giving the chain
+A(v(-s)) >= A(v(0)) = A~(u~(0)) >= A~(u~(s))  and the sharp energy identity
+E(v) + E(u~) = A(v(-S)) - A~(u~(S))  up to quadrature error.
 
 ``hybrid_relax`` realizes configurations by alternating sweeps: flow the
 minus input forward for the horizon, project the coupling (exact, the
@@ -76,12 +76,12 @@ class ActionChainError(RuntimeError):
     """The action increased along a relaxed half-trajectory."""
 
 
-def couple_loops(minus_loop: RabinowitzLoop, zeta_ref: np.ndarray | float, kappa: float = 1.0) -> ExtendedLoop:
+def couple_loops(minus_loop: RabinowitzLoop, zeta_ref: np.ndarray | float) -> ExtendedLoop:
     """Project a free-period loop to the coupled fixed-period initial loop."""
     nt = minus_loop.nt
     zeta = np.full(nt, float(zeta_ref)) if np.isscalar(zeta_ref) else np.array(zeta_ref, float)
     return ExtendedLoop(
-        x=np.array(minus_loop.x), eta=np.full(nt, kappa * minus_loop.tau), zeta=zeta
+        x=np.array(minus_loop.x), eta=np.full(nt, minus_loop.tau), zeta=zeta
     )
 
 
@@ -124,7 +124,6 @@ class HybridState:
     minus: HalfRun
     plus: HalfRun
     horizon: float
-    kappa: float = 1.0
 
     @property
     def minus_end(self) -> RabinowitzLoop:
@@ -138,7 +137,7 @@ class HybridState:
         v0 = self.minus.loops[-1]
         u0 = self.plus.loops[0]
         r_loop = float(np.max(np.abs(u0.x - v0.x)))
-        r_eta = float(np.max(np.abs(u0.eta - self.kappa * v0.tau)))
+        r_eta = float(np.max(np.abs(u0.eta - v0.tau)))
         return r_loop, r_eta
 
 
@@ -148,7 +147,6 @@ class HybridControls:
     max_doublings: int = 3
     end_tol: float = 1e-6
     freq_cutoff: int | None = 1
-    kappa: float = 1.0
 
 
 def initial_hybrid_state(
@@ -162,7 +160,7 @@ def initial_hybrid_state(
     The plus side is the coupled lift with zeta = sigma; the coupling
     invariants hold by construction.
     """
-    plus0 = couple_loops(minus_input, sigma, controls.kappa)
+    plus0 = couple_loops(minus_input, sigma)
     minus = HalfRun(
         s=[-controls.horizon], loops=[minus_input],
         actions=[action_rabinowitz(sys, minus_input)],
@@ -175,7 +173,7 @@ def initial_hybrid_state(
         grad_norms=[grad_norm(gradient_extended(sys, plus0), plus0.nt)],
         energy_cum=[0.0],
     )
-    return HybridState(minus=minus, plus=plus, horizon=controls.horizon, kappa=controls.kappa)
+    return HybridState(minus=minus, plus=plus, horizon=controls.horizon)
 
 
 def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridControls) -> HalfRun:
@@ -245,20 +243,19 @@ def hybrid_relax(
     minus_input = state.minus.loops[0]
     sigma_ref = float(np.mean(state.plus.loops[0].zeta))
     horizon = state.horizon
-    kappa = state.kappa
 
     sweeps = 0
     while True:
         sweeps += 1
         minus = _half_run(sys, minus_input, -horizon, horizon, controls)
-        plus0 = couple_loops(minus.loops[-1], sigma_ref, kappa)
+        plus0 = couple_loops(minus.loops[-1], sigma_ref)
         plus = _half_run(sys, plus0, 0.0, horizon, controls)
         end_grad = plus.grad_norms[-1]
         if end_grad <= controls.end_tol or sweeps > controls.max_doublings:
             break
         horizon *= 2.0
 
-    out = HybridState(minus=minus, plus=plus, horizon=horizon, kappa=kappa)
+    out = HybridState(minus=minus, plus=plus, horizon=horizon)
 
     r_loop, r_eta = out.coupling_residuals()
     if max(r_loop, r_eta) > 1e-12:
@@ -267,7 +264,6 @@ def hybrid_relax(
     for side, run in (("minus", minus), ("plus", plus)):
         if not all(b <= a + 1e-12 for a, b in zip(run.actions, run.actions[1:])):
             raise ActionChainError(f"action increased along the relaxed {side} half-trajectory")
-    mid_res = abs(minus.actions[-1] - plus.actions[0]) if kappa == 1.0 else float("nan")
 
     e_m, e_p = minus.energy, plus.energy
     diags = HybridDiagnostics(
@@ -275,7 +271,7 @@ def hybrid_relax(
         horizon=horizon,
         coupling_residual_loop=r_loop,
         coupling_residual_eta=r_eta,
-        mid_action_residual=mid_res,
+        mid_action_residual=abs(minus.actions[-1] - plus.actions[0]),
         action_chain_ok=True,
         energy_minus=e_m,
         energy_plus=e_p,

@@ -25,9 +25,25 @@ the omega-based formula uniformly, which agrees with that reduction.
 Interior crossings must be regular (nondegenerate crossing form).  A
 degenerate interior crossing raises IrregularCrossingError; the caller
 resolves it with ``perturbed_path``, which replaces the generator S by
-S - delta*I.  Intervals on which the path remains singular ("plateaus")
-are admitted when the crossing form vanishes identically on the kernel
-there; they contribute zero, like constant identity segments.
+S - delta*I.  Intervals on which the path remains singular ("plateaus",
+runs of two or more singular samples) are admitted when the crossing
+form vanishes identically on the kernel there; they contribute zero,
+like constant identity segments.  The kernel dimension a plateau keeps
+throughout is its background.
+
+The scan takes one batched SVD and determinant of Gamma(t_k) - I over the
+samples, checks all plateau samples at once (their kernels from one more
+batched SVD), and makes one pass over the samples that emits candidates
+in time order: a singular end of the segment (an endpoint crossing); a
+sign change of det(Gamma - I), which a simple crossing always makes
+(bisected); and a dip, a sampled local minimum of the product of the
+singular values above the background (golden-section search).  One rule
+accepts a located time: it lies more than SEPARATION from the crossings
+found and the segment ends, and its singular value above the background
+is at most CROSS_TOL; up to 100 CROSS_TOL raises ResolutionError.  Around
+each crossing the dips are sought again with its factor |t - t*|^d
+divided out, which finds a second crossing within a few samples that
+shares its sampled dip.
 """
 
 from __future__ import annotations
@@ -139,6 +155,7 @@ KERNEL_TOL = 1e-6         # singular values below this span the kernel
 VANISH_TOL = 1e-7         # plateau crossing forms must stay below this
 DEGENERATE_TOL = 1e-7     # crossing-form eigenvalue cluster width
 TIME_TOL = 1e-10          # refinement tolerance for crossing times
+SEPARATION = 10 * TIME_TOL  # interior crossings lie further from each other and the ends
 
 
 class SymplecticPath:
@@ -285,44 +302,36 @@ def _rk4_step(jmat, gen, t, m, h):
 # -- crossing machinery -------------------------------------------------------
 
 
-def _kernel(mat_minus_id: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of Gamma(t) - I."""
-    _, svals, vt = np.linalg.svd(mat_minus_id)
-    smax = svals[0] if svals.size else 0.0
-    thresh = max(KERNEL_TOL, 1e-9 * smax)
-    cols = vt[svals <= thresh] if svals.size else vt
-    if cols.size == 0:
-        # guard: accept the single smallest direction
-        cols = vt[-1:]
-    return cols.T
+def _kernel_mask(svals: np.ndarray) -> np.ndarray:
+    """Which right singular vectors of Gamma(t) - I span its numerical kernel.
+
+    Works on one spectrum or a stack; the smallest direction always counts.
+    """
+    mask = svals <= np.maximum(KERNEL_TOL, 1e-9 * svals[..., :1])
+    mask[..., -1] = True
+    return mask
 
 
-def _min_sv(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+def _velocity(path: SymplecticPath, ts, mats) -> np.ndarray:
+    """Gamma' at the times ts, where Gamma takes the values mats: J S(t) Gamma(t)
+    with a generator, which needs no path evaluation, else differenced."""
+    if path.generator is None:
+        return np.array([path.derivative(t) for t in ts])
+    return path.jmat @ np.array([path.generator(float(t)) for t in ts]) @ np.asarray(mats)
 
 
-def _crossing_form(path: SymplecticPath, t: float, kernel: np.ndarray) -> SymmetricForm:
-    dgamma = path.derivative(t)
-    f = kernel.T @ dgamma.T @ path.form @ kernel
-    return SymmetricForm(f)
-
-
-def _form_vanishes(path: SymplecticPath, t: float, kernel: np.ndarray) -> bool:
-    f = _crossing_form(path, t, kernel)
-    scale = max(1.0, float(np.max(np.abs(path.derivative(t)))))
-    return float(np.max(np.abs(f.entries))) <= VANISH_TOL * scale
-
-
-def _crossing_at(path: SymplecticPath, t: float, kind: str, background: int = 0) -> Crossing:
-    """Crossing data at time t.
+def _crossing(path: SymplecticPath, t: float, mat: np.ndarray, kind: str, background: int = 0) -> Crossing:
+    """Crossing data at time t, where Gamma(t) = mat.
 
     ``background`` is the dimension of a persistent singular direction
     field (a plateau the crossing is embedded in); exactly that many
     crossing-form eigenvalues may vanish at an interior crossing, and
     they contribute nothing.  Endpoint crossings may be degenerate.
     """
-    kernel = _kernel(path.at(t) - np.eye(path.dim))
-    form = _crossing_form(path, t, kernel)
+    _, svals, vt = np.linalg.svd(mat - np.eye(path.dim))
+    kernel = vt[_kernel_mask(svals)].T
+    dgamma = _velocity(path, [t], [mat])[0]
+    form = SymmetricForm(kernel.T @ dgamma.T @ path.form @ kernel)
     fscale = max(1.0, float(np.max(np.abs(form.entries))))
     evals = np.linalg.eigvalsh(form.entries) if form.k else np.zeros(0)
     tol = DEGENERATE_TOL * fscale
@@ -338,65 +347,68 @@ def _crossing_at(path: SymplecticPath, t: float, kind: str, background: int = 0)
     return Crossing(time=float(t), kernel_basis=kernel, form=form, sig=n_pos - n_neg, kind=kind)
 
 
-def _sv_above_background(path: SymplecticPath, t: float, background: int) -> float:
-    """Smallest singular value of Gamma(t) - I above a persistent kernel."""
-    svals = np.linalg.svd(path.at(t) - np.eye(path.dim), compute_uv=False)
-    if background >= svals.size:
-        return 0.0
-    return float(svals[-(background + 1)])
+def _check_plateaus(path, ts, mats, kdims, background) -> None:
+    """Raise IrregularCrossingError unless the crossing form vanishes on the
+    kernel at every interior plateau sample whose kernel is the background."""
+    idx = np.flatnonzero((background > 0) & (kdims == background))
+    idx = idx[(idx > 0) & (idx < len(ts) - 1)]
+    if not idx.size:
+        return
+    _, svals, vt = np.linalg.svd(mats[idx] - np.eye(path.dim))
+    dgamma = _velocity(path, ts[idx], mats[idx])
+    forms = np.einsum("nij,nkj,kl,nml->nim", vt, dgamma, path.form, vt, optimize=True)
+    mask = _kernel_mask(svals)
+    worst = np.max(np.abs(forms) * (mask[:, :, None] & mask[:, None, :]), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(dgamma), axis=(1, 2)))
+    bad = np.flatnonzero(worst > VANISH_TOL * scale)
+    if bad.size:
+        raise IrregularCrossingError(
+            f"nonvanishing crossing form on singular plateau near "
+            f"t={ts[idx[bad[0]]]:.6f}; perturb the generator and retry"
+        )
 
 
-def _detection_objective(path: SymplecticPath, t: float, background: int) -> float:
-    """Product of the singular values of Gamma(t) - I above the background.
+def _locate(path: SymplecticPath, lo: float, hi: float, background: int,
+            det_lo=None, divide=(0.0, 0)) -> float:
+    """Crossing time in the bracket [lo, hi], to TIME_TOL.
 
-    With no background this is |det(Gamma(t) - I)|.  Unlike the smallest
-    singular value, the product still dips at a crossing of one invariant
-    block when another block happens to pass close to the identity, so
-    crossings cannot mask each other.
-    """
-    svals = np.linalg.svd(path.at(t) - np.eye(path.dim), compute_uv=False)
-    top = svals[: max(path.dim - background, 0)]
-    return float(np.prod(top)) if top.size else 0.0
-
-
-def _bisect_det_zero(path: SymplecticPath, a: float, b: float, fa: float) -> float:
-    """Bisection on the signed det(Gamma(t) - I) across a sign change.
-
-    Simple (odd-multiplicity) crossings always change the sign of the
-    determinant, so this locator cannot be masked by the size trend of
-    the other factors the way a sampled local-minimum test can.
+    With ``det_lo``, det(Gamma - I) at lo, the determinant changes sign
+    over the bracket and is bisected.  Otherwise golden-section search
+    minimizes the product of the singular values of Gamma(t) - I above the
+    background, divided by |t - s|^d for ``divide`` = (s, d).  Unlike the
+    smallest singular value, the product still dips at a crossing of one
+    invariant block when another block passes close to the identity.
     """
     eye = np.eye(path.dim)
-    neg_a = fa < 0
-    while (b - a) > TIME_TOL:
-        m = 0.5 * (a + b)
-        fm = float(np.linalg.det(path.at(m) - eye))
-        if fm == 0.0:
-            return m
-        if (fm < 0) == neg_a:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    if det_lo is not None:
+        while hi - lo > TIME_TOL:
+            mid = 0.5 * (lo + hi)
+            det = float(np.linalg.det(path.at(mid) - eye))
+            if det == 0.0:
+                return mid
+            if (det < 0) == (det_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
+    def product(t):
+        svals = np.linalg.svd(path.at(t) - eye, compute_uv=False)
+        return float(np.prod(svals[: path.dim - background])) / abs(t - divide[0]) ** divide[1]
 
-def _refine_minimum(path: SymplecticPath, a: float, b: float, background: int = 0) -> float:
-    """Golden-section minimizer of the detection objective on [a, b]."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = _detection_objective(path, x1, background)
-    f2 = _detection_objective(path, x2, background)
-    while (b - a) > TIME_TOL:
+    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    f1, f2 = product(x1), product(x2)
+    while hi - lo > TIME_TOL:
         if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = _detection_objective(path, x1, background)
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = product(x1)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = _detection_objective(path, x2, background)
-    return 0.5 * (a + b)
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = product(x2)
+    return 0.5 * (lo + hi)
 
 
 def rs_index_segment(path: SymplecticPath, a: float = 0.0, b: float = 1.0) -> HalfInteger:
@@ -430,8 +442,7 @@ def rs_index(path: SymplecticPath, tol: float = CROSS_TOL) -> HalfInteger:
 def _segment_detailed(path, a, b, cross_tol: float = CROSS_TOL):
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
-    eye = np.eye(path.dim)
-
+    dim, eye = path.dim, np.eye(path.dim)
     inside = (path.ts > a + 1e-14) & (path.ts < b - 1e-14)
     ts = np.concatenate(([a], path.ts[inside], [b]))
     if a == 0.0 and b == 1.0:
@@ -439,161 +450,81 @@ def _segment_detailed(path, a, b, cross_tol: float = CROSS_TOL):
     else:
         mats = np.array([path.at(t) for t in ts])
     n = len(ts)
-    svals_all = np.linalg.svd(mats - eye, compute_uv=False)
-    g = svals_all[:, -1]
-    det_abs = np.prod(svals_all, axis=1)
-    singular = g <= cross_tol
+    svals = np.linalg.svd(mats - eye, compute_uv=False)
+    det = np.linalg.det(mats - eye)
+    kdims = np.sum(svals <= cross_tol, axis=1)
+
+    # a plateau is a run of two or more singular samples; the kernel
+    # dimension it keeps throughout is its background
+    background = np.zeros(n, dtype=int)
+    bounds = np.flatnonzero(np.diff(np.concatenate(([0], kdims > 0, [0]))))
+    for i0, i1 in zip(bounds[::2], bounds[1::2]):
+        if i1 - i0 > 1:
+            background[i0:i1] = np.min(kdims[i0:i1])
+    _check_plateaus(path, ts, mats, kdims, background)
+    above = np.arange(dim) < dim - background[:, None]
+    product = np.prod(np.where(above, svals, 1.0), axis=1)
+
+    # candidates (see the module docstring).  A sample next to a plateau is
+    # no dip, and a plateau's edge is not bounded by the sample outside it;
+    # a sample next to a sign change leaves its crossing to the bisection;
+    # an end is a dip only when the product falls into it and is already
+    # small there
+    ends = np.isin(np.arange(n), (0, n - 1))
+    endpoint = ends & (kdims > 0)
+    flips = np.append(det[:-1] * det[1:] < 0, False)
+    bg0, bg1 = background[:-1], background[1:]
+    rise = np.diff(product)
+    dips = (
+        np.append((bg0 > bg1) | ((bg0 == bg1) & (rise >= 0)), True)
+        & np.insert((bg1 > bg0) | ((bg0 == bg1) & (rise <= 0)), 0, True)
+        & ~flips & ~np.insert(flips[:-1], 0, False)
+        & (background < dim) & ~endpoint
+        & (~ends | (product <= 0.05 * np.max(product)))
+    )
 
     crossings: list[Crossing] = []
     halves = 0
+    taken = [a, b]
 
-    # endpoint contributions
-    if singular[0]:
-        c = _crossing_at(path, ts[0], "start")
-        crossings.append(c)
-        halves += c.sig
-    if singular[-1]:
-        c = _crossing_at(path, ts[-1], "end")
-        crossings.append(c)
-        halves += c.sig
-
-    # maximal runs of singular samples
-    regions = []
-    i = 0
-    while i < n:
-        if singular[i]:
-            j = i
-            while j + 1 < n and singular[j + 1]:
-                j += 1
-            regions.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-
-    claimed = np.zeros(n, dtype=bool)
-    found_times = [c.time for c in crossings]
-    for (i0, i1) in regions:
-        claimed[max(i0 - 1, 0): i1 + 2] = True
-        interior_idx = [k for k in range(i0, i1 + 1) if k not in (0, n - 1)]
-        if i0 == i1:
-            if not interior_idx:
-                continue  # a singular path endpoint, already counted above
-            # isolated singular sample strictly inside: a regular crossing
-            k = i0
-            t_star = _refine_minimum(path, ts[k - 1], ts[k + 1])
-            c = _crossing_at(path, t_star, "interior")
-            crossings.append(c)
-            found_times.append(t_star)
-            halves += 2 * c.sig
-            continue
-        # plateau: the path stays singular across [ts[i0], ts[i1]].  The
-        # persistent ("background") directions must carry a vanishing
-        # crossing form and contribute nothing; crossings of the remaining
-        # directions are embedded in the plateau and show up as dips of
-        # the first singular value above the background.
-        region_svals = np.linalg.svd(mats[i0: i1 + 1] - eye, compute_uv=False)
-        kdims = np.sum(region_svals <= cross_tol, axis=1)
-        bg = int(np.min(kdims))
-        for k in interior_idx:
-            if kdims[k - i0] > bg:
-                continue  # kernel jump: an embedded crossing, scanned below
-            kernel = _kernel(mats[k] - eye)
-            if not _form_vanishes(path, ts[k], kernel):
-                raise IrregularCrossingError(
-                    f"nonvanishing crossing form on singular plateau near "
-                    f"t={ts[k]:.6f}; perturb the generator and retry"
-                )
-        if bg >= path.dim:
-            continue
-        e = np.prod(region_svals[:, : path.dim - bg], axis=1)
-        for k in range(max(i0, 1), min(i1, n - 2) + 1):
-            j = k - i0
-            left = e[j - 1] if j > 0 else np.inf
-            right = e[j + 1] if j < len(e) - 1 else np.inf
-            if not (e[j] <= left and e[j] <= right and e[j] < np.inf):
-                continue
-            t_star = _refine_minimum(path, ts[k - 1], ts[k + 1], background=bg)
-            if _sv_above_background(path, t_star, bg) > cross_tol:
-                continue
-            if (
-                min((abs(t_star - t) for t in found_times), default=1.0) > 10 * TIME_TOL
-                and a + 1e-9 < t_star < b - 1e-9
-            ):
-                c = _crossing_at(path, t_star, "interior", background=bg)
-                crossings.append(c)
-                found_times.append(t_star)
-                halves += 2 * c.sig
-
-    # interior simple crossings: sign changes of the signed determinant
-    # (singular samples have det exactly zero, so regions cannot retrigger)
-    det_signed = np.linalg.det(mats - eye)
-    sign_bracket = np.zeros(n, dtype=bool)
-    for k in range(n - 1):
-        if det_signed[k] * det_signed[k + 1] >= 0:
-            continue
-        sign_bracket[k] = sign_bracket[k + 1] = True
-        t_star = _bisect_det_zero(path, ts[k], ts[k + 1], det_signed[k])
-        if _min_sv(path.at(t_star) - eye) > cross_tol:
-            continue
-        if (
-            min((abs(t_star - t) for t in found_times), default=1.0) > 10 * TIME_TOL
-            and a + 1e-12 < t_star < b - 1e-12
-        ):
-            c = _crossing_at(path, t_star, "interior")
-            crossings.append(c)
-            found_times.append(t_star)
-            halves += 2 * c.sig
-
-    # even-multiplicity interior crossings: local minima of |det|
-    k = 1
-    while k < n - 1:
-        if sign_bracket[k]:
-            k += 1
-            continue
-        if claimed[k] or not (det_abs[k] <= det_abs[k - 1] and det_abs[k] <= det_abs[k + 1]):
-            k += 1
-            continue
-        j = k
-        while j + 1 < n - 1 and not claimed[j + 1] and det_abs[j + 1] == det_abs[k]:
-            j += 1
-        t_star = _refine_minimum(path, ts[k - 1], ts[min(j + 1, n - 1)])
-        gmin = _min_sv(path.at(t_star) - eye)
-        if gmin <= cross_tol:
-            if min((abs(t_star - t) for t in found_times), default=1.0) > 10 * TIME_TOL and a + 1e-12 < t_star < b - 1e-12:
-                c = _crossing_at(path, t_star, "interior")
-                crossings.append(c)
-                found_times.append(t_star)
-                halves += 2 * c.sig
-        elif gmin <= 100 * cross_tol:
+    def accept(lo, hi, bg, det_lo=None, divide=(0.0, 0)):
+        nonlocal halves
+        t = _locate(path, lo, hi, bg, det_lo, divide)
+        if min(abs(t - s) for s in taken) <= SEPARATION:
+            return
+        mat = path.at(t)
+        sigma = np.linalg.svd(mat - eye, compute_uv=False)[-(bg + 1)]
+        if sigma > 100 * cross_tol:
+            return
+        if sigma > cross_tol:
             raise ResolutionError(
-                f"unresolved near-crossing at t={t_star:.9f} "
-                f"(sigma_min={gmin:.3e}); rebuild the path with finer sampling"
+                f"unresolved near-crossing at t={t:.9f} "
+                f"(sigma_min={sigma:.3e}); rebuild the path with finer sampling"
             )
-        k = j + 1
+        c = _crossing(path, t, mat, "interior", bg)
+        crossings.append(c)
+        taken.append(t)
+        halves += 2 * c.sig
+        # a crossing within a few samples of this one can share its sampled
+        # dip; with this one's factor |t - t*|^d divided out it shows its own
+        d = c.kernel_basis.shape[1] - bg
+        k = int(np.searchsorted(ts, t))
+        near = np.arange(max(k - 4, 0), min(k + 4, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = product[near] / np.abs(ts[near] - t) ** d
+        for i in range(1, len(near) - 1):
+            if rest[i] <= min(rest[i - 1], rest[i + 1]) and background[near[i]] == bg:
+                accept(ts[near[i - 1]], ts[near[i + 1]], bg, divide=(t, d))
 
-    # even crossings hiding in the end brackets: the sampled |det| can
-    # decrease monotonically into a nonsingular endpoint while dipping to
-    # zero inside the final interval
-    if n >= 3:
-        det_scale = float(np.max(det_abs)) + 1e-300
-        for k_lo, k_hi, edge, inner in ((0, 1, 0, 1), (n - 2, n - 1, n - 1, n - 2)):
-            if singular[edge] or sign_bracket[edge]:
-                continue
-            # a dip can hide here only if |det| falls into the edge and is
-            # already small there
-            if det_abs[edge] >= det_abs[inner] or det_abs[edge] > 0.05 * det_scale:
-                continue
-            t_star = _refine_minimum(path, ts[k_lo], ts[k_hi])
-            if _min_sv(path.at(t_star) - eye) > cross_tol:
-                continue
-            if not (a + 1e-7 < t_star < b - 1e-7):
-                continue
-            if min((abs(t_star - t) for t in found_times), default=1.0) <= 10 * TIME_TOL:
-                continue
-            c = _crossing_at(path, t_star, "interior")
+    for k in np.flatnonzero(endpoint | dips | flips):
+        if endpoint[k]:
+            c = _crossing(path, ts[k], mats[k], "start" if k == 0 else "end")
             crossings.append(c)
-            found_times.append(t_star)
-            halves += 2 * c.sig
+            halves += c.sig
+        if dips[k]:
+            accept(ts[max(k - 1, 0)], ts[min(k + 1, n - 1)], background[k])
+        if flips[k]:
+            accept(ts[k], ts[k + 1], background[k], det[k])
 
     crossings.sort(key=lambda c: c.time)
     return HalfInteger(halves), crossings

@@ -165,6 +165,15 @@ def test_flow_step_budget_exhausted_exits_three(tmp_path, capsys):
     assert snap.exists()
 
 
+def test_hybrid_not_converged_exits_three(tmp_path, capsys):
+    out = tmp_path / "hyb.csv"
+    assert run(["hybrid", "--amplitude", "3e-6", "--horizon", "0.05", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "hybrid: converged=False" in captured.out
+    assert captured.err.startswith("numerical failure: plus end gradient")
+    assert out.read_text().startswith("side,step,s,action,grad_norm")
+
+
 def test_hybrid_subcommand(tmp_path):
     out = tmp_path / "hyb.csv"
     assert run(["hybrid", "--start", "orbit", "--amplitude", "3e-6",

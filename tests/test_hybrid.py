@@ -82,12 +82,6 @@ def test_perturbed_stationary_reconverges_with_identities(sys1, orbit):
     assert float(np.mean(out.plus_end.zeta)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_kappa_coupling_hook(sys1, orbit):
-    controls = HybridControls(kappa=0.5)
-    state = initial_hybrid_state(sys1, orbit, sigma=0.0, controls=controls)
-    assert np.all(state.plus.loops[0].eta == 0.5 * orbit.tau)
-
-
 def test_hessian_agreement_random_probes(sys1, orbit):
     worst = hessian_agreement(sys1, orbit, sigma=0.3, n_probes=50,
                               rng=np.random.default_rng(2))

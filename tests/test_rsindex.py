@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rfhlab.rsindex import (
     HalfInteger,
@@ -259,11 +261,7 @@ def test_irregular_interior_crossing_raises_and_perturbation_resolves():
     assert rs_index(perturbed_path(p, -1e-3)).twice_value == 2
 
 
-def test_unipotent_background_path_is_regular():
-    # the shear [[1, sin(2 pi t)], [0, 1]] stays singular for all t; the
-    # kernel jump at t = 1/2 is a regular crossing relative to that
-    # background, and the total is zero: endpoint forms have signature -1
-    # each and the embedded crossing contributes +2 x (1/2 x 2 = +1)
+def _shear_path():
     def gen(t):
         return -2 * np.pi * np.cos(2 * np.pi * t) * np.array([[0.0, 0.0], [0.0, 1.0]])
 
@@ -271,8 +269,15 @@ def test_unipotent_background_path_is_regular():
         return np.array([[1.0, np.sin(2 * np.pi * t)], [0.0, 1.0]])
 
     ts = np.linspace(0, 1, 1025)
-    p = SymplecticPath(ts, np.array([ev(t) for t in ts]), generator=gen, evaluator=ev)
-    value, crossings = rs_index_detailed(p)
+    return SymplecticPath(ts, np.array([ev(t) for t in ts]), generator=gen, evaluator=ev)
+
+
+def test_unipotent_background_path_is_regular():
+    # the shear [[1, sin(2 pi t)], [0, 1]] stays singular for all t; the
+    # kernel jump at t = 1/2 is a regular crossing relative to that
+    # background, and the total is zero: endpoint forms have signature -1
+    # each and the embedded crossing contributes +2 x (1/2 x 2 = +1)
+    value, crossings = rs_index_detailed(_shear_path())
     assert value.twice_value == 0
     kinds = sorted((c.kind, c.sig) for c in crossings)
     assert kinds == [("end", -1), ("interior", 1), ("start", -1)]
@@ -303,3 +308,125 @@ def test_path_validation():
     with pytest.raises(ValueError):  # not symplectic
         mats = np.array([np.eye(2) * (1 + t) for t in ts])
         SymplecticPath(ts, mats)
+
+
+TWO_PI = 2 * np.pi
+
+
+def _rotation_index(m, angle):
+    """Closed form of rs_index(rotation_path(m, angle)) when angle is not a
+    multiple of 2 pi: the start contributes m, each full turn 2m."""
+    return int(np.sign(angle)) * m * (1 + 2 * int(abs(angle) // TWO_PI))
+
+
+def _csv_copy(path, form=None):
+    buf = io.StringIO()
+    save_path_csv(path, buf)
+    buf.seek(0)
+    return load_path_csv(buf, form=form)
+
+
+def _late_rotation():
+    # the identity up to t = 0.3, then the angle 20 (t - 0.3)^2: a plateau
+    # that ends inside the path leaves no crossing at its edge
+    jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def ev(t):
+        theta = 20 * max(0.0, t - 0.3) ** 2
+        return np.cos(theta) * np.eye(2) + np.sin(theta) * jmat
+
+    ts = np.linspace(0, 1, 513)
+    return SymplecticPath(ts, np.array([ev(t) for t in ts]),
+                          generator=lambda t: 40 * max(0.0, t - 0.3) * np.eye(2), evaluator=ev)
+
+
+CROSSING_PANEL = {
+    # name: (path, twice the index, [(kind, signature, time)])
+    "rotation-14": (
+        lambda: rotation_path(1, -14.0), -10,
+        [("start", -2, 0.0), ("interior", -2, TWO_PI / 14), ("interior", -2, 2 * TWO_PI / 14)],
+    ),
+    "rotation2x5": (lambda: rotation_path(2, 5.0), 4, [("start", 4, 0.0)]),
+    "csv-rotation2x-9": (
+        lambda: _csv_copy(rotation_path(2, -9.0, 2049)), -12,
+        [("start", -4, 0.0), ("interior", -4, TWO_PI / 9)],
+    ),
+    "shear": (_shear_path, 0, [("start", -1, 0.0), ("interior", 1, 0.5), ("end", -1, 1.0)]),
+    "theta": (lambda: theta_path(TWO_PI, 1.0, 1.0), 0, [("start", 0, 0.0), ("end", 0, 1.0)]),
+    "theta+1e-3": (
+        lambda: perturbed_path(theta_path(TWO_PI, 1.0, 1.0), 1e-3), -2, [("start", -2, 0.0)],
+    ),
+    "theta-1e-3": (
+        lambda: perturbed_path(theta_path(TWO_PI, 1.0, 1.0), -1e-3), 2, [("start", 2, 0.0)],
+    ),
+    "late-rotation": (
+        _late_rotation, 4, [("start", 0, 0.0), ("interior", 2, 0.3 + np.sqrt(np.pi / 10))],
+    ),
+    "rotation-join": (
+        lambda: block_diag(rotation_path(1, 6.5, 385), rotation_path(1, 6.55, 385)), 12,
+        [("start", 4, 0.0), ("interior", 2, TWO_PI / 6.55), ("interior", 2, TWO_PI / 6.5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_PANEL))
+def test_crossing_panel(name):
+    build, twice, expected = CROSSING_PANEL[name]
+    value, crossings = rs_index_detailed(build())
+    assert value.twice_value == twice
+    assert [(c.kind, c.sig) for c in crossings] == [(kind, sig) for kind, sig, _ in expected]
+    times = np.array([c.time for c in crossings])
+    assert np.max(np.abs(times - [t for _, _, t in expected])) <= 1e-8
+
+
+@pytest.mark.parametrize("a1, a2", [(6.53, 6.56), (-8.15, -8.13)])
+def test_close_crossings_of_two_blocks_are_both_found(a1, a2):
+    # the two crossings lie within two sample intervals and show as one
+    # sampled dip of |det(Gamma - I)|; the second is found with the first
+    # divided out
+    joint = block_diag(rotation_path(1, a1, 385), rotation_path(1, a2, 385))
+    assert rs_index(joint).twice_value == 2 * (_rotation_index(1, a1) + _rotation_index(1, a2))
+
+
+@pytest.mark.parametrize("gap", [5e-8, -5e-8])
+def test_turns_ending_next_to_the_identity(gap):
+    # Gamma(1) is 5e-8 from the identity, so the end is no crossing; one
+    # turn and a little more crosses 8e-9 before the end, which counts,
+    # while the end interval's dip just short of a turn lies at the end
+    angle = 2 * np.pi + gap
+    assert rs_index(rotation_path(1, angle)).twice_value == 2 * _rotation_index(1, angle)
+
+
+def _check_rotation_index(path, m, angle):
+    try:
+        value = rs_index(path)
+    except ResolutionError:
+        return
+    assert value.twice_value == 2 * _rotation_index(m, angle)
+
+
+rotations = given(
+    m=st.sampled_from([1, 2, 3]),
+    size=st.floats(1e-3, 3 * TWO_PI),
+    negative=st.booleans(),
+)
+
+
+def _angle(size, negative):
+    # an angle next to a multiple of 2 pi puts a crossing at the end of the path
+    assume(abs(size - TWO_PI * round(size / TWO_PI)) > 1e-6)
+    return -size if negative else size
+
+
+@settings(max_examples=80, deadline=None)
+@rotations
+def test_rotation_index_closed_form(m, size, negative):
+    angle = _angle(size, negative)
+    _check_rotation_index(rotation_path(m, angle), m, angle)
+
+
+@settings(max_examples=20, deadline=None)
+@rotations
+def test_rotation_index_closed_form_through_csv(m, size, negative):
+    angle = _angle(size, negative)
+    _check_rotation_index(_csv_copy(rotation_path(m, angle, 2049)), m, angle)
