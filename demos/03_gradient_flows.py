@@ -33,7 +33,7 @@ print()
 print("== a converging run ==")
 rng = np.random.default_rng(3)
 start = stable_perturbation(sys1, lifted, rng, kmax=1, amplitude=1e-5, rate_min=2.0)
-final, d = integrate(sys1, start, IntegrateControls(freq_cutoff=1))
+final, d = integrate(sys1, start, IntegrateControls())
 print(f"converged: {d.converged} after {len(d.rows) - 1} accepted steps,"
       f" landing on {d.target_component}")
 print(f"{'step':>5} {'s':>8} {'action':>18} {'grad':>10} {'max|H|':>10}")

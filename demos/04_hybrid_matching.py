@@ -45,15 +45,13 @@ print(f"  sigma preserved: {float(np.mean(out.plus_end.zeta)):.6f}")
 
 print()
 print("== equality of second variations ==")
-worst = hessian_agreement(sys1, orbit, sigma=0.5, n_probes=50,
-                          rng=np.random.default_rng(1))
+worst = hessian_agreement(sys1, orbit, sigma=0.5, rng=np.random.default_rng(1))
 print(f"  max discrepancy over 50 random coupled probes: {worst:.2e}")
 print("  (the fiber-direction terms integrate away exactly)")
 
 print()
 print("== linearized matching problem at the stationary solution ==")
-rep = auto_transversality_check(sys1, orbit, sigma=0.5, kmax=2,
-                                rng=np.random.default_rng(2))
+rep = auto_transversality_check(sys1, orbit, sigma=0.5, rng=np.random.default_rng(2))
 print(f"  kernel dimension: {rep.kernel_dim} (expected {rep.expected_kernel_dim})")
 print(f"  fiber shift neutral: {rep.rstar_in_kernel}")
 print(f"  kernel = manifold tangents + fiber shift: "

@@ -1,5 +1,7 @@
 """The one way rfhlab writes and reads text files."""
 
+import json
+
 
 def write_text(file, text: str) -> str:
     """Write ``text`` to ``file`` and return it.
@@ -22,3 +24,11 @@ def read_text(file) -> str:
         with open(file) as fh:
             return fh.read()
     return file.read()
+
+
+def read_json(source):
+    """The JSON value in ``source``: JSON text (an object or an array), a
+    path, or an open text handle."""
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+        return json.loads(source)
+    return json.loads(read_text(source))

@@ -38,10 +38,13 @@ class ConfigError(ValueError):
 # numeric options: flag -> (test, requirement); a subcommand without the
 # flag skips its rule
 _NUMBER_RULES = {
+    "n": (lambda v: 1 <= v <= 3, "in 1..3"),
     "tol": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
     "steps": (lambda v: v >= 1, "at least 1"),
     "amplitude": (lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
     "horizon": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "sigma": (math.isfinite, "a finite number"),
+    "delta": (math.isfinite, "a finite number"),
 }
 
 
@@ -50,6 +53,17 @@ def _check_numbers(args):
         val = getattr(args, name, None)
         if val is not None and not ok(val):
             raise ConfigError(f"--{name} must be {requirement}, got {val!r}")
+    if getattr(args, "cutoff", None) is None:
+        return
+    # an orbit start of multiplicity k lives in the modes |k|; a grid of
+    # 2 cutoff + 2 samples is the smallest that resolves the flowed modes
+    built = not getattr(args, "loop", None)
+    least = max(1, abs(args.k)) if built and args.start == "orbit" else 1
+    if args.cutoff < least:
+        raise ConfigError(f"--cutoff must be at least {least}, got {args.cutoff}")
+    if built and args.nt < 2 * args.cutoff + 2:
+        raise ConfigError(f"--nt must be at least 2 * cutoff + 2 = {2 * args.cutoff + 2}, "
+                          f"got {args.nt}")
 
 
 def _kv_floats(pairs, required):
@@ -62,16 +76,18 @@ def _kv_floats(pairs, required):
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"value for {key} is not a number: {val!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"value for {key} must be finite, got {val!r}")
     missing = [k for k in required if k not in out]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
     return out
 
 
-def _load_model(path: str | None, n: int | None) -> mo.ModelSystem:
+def _load_model(path: str | None, n: int) -> mo.ModelSystem:
     if path:
         return mo.model_from_json(path)
-    return mo.make_model(n=n or 1)
+    return mo.make_model(n=n)
 
 
 def _write_text(path: str | None, text: str):
@@ -91,6 +107,8 @@ def _cmd_index(args) -> int:
     else:
         raise ConfigError("index needs --theta with tau= hp= hpp= or --csv PATH")
     if args.delta is not None:
+        if path.generator is None:
+            raise ConfigError("--delta needs a path with a generator (--theta); a CSV path has none")
         path = rsi.perturbed_path(path, args.delta)
     value = rsi.rs_index(path)
     print(f"mu_rs = {value}")
@@ -108,12 +126,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_grade(args) -> int:
     if args.constants:
-        params = _kv_floats(args.params, required=("n",))
-        n = int(params["n"])
-        if not 1 <= n <= 3:
-            raise ConfigError("supported half-dimensions are n in {1, 2, 3}")
-        sy = mo.make_model(n=n)
-        comps = gr.model_components(sy, ks=())
+        comps = gr.model_components(_load_model(args.model, args.n), ks=())
         print(f"mu(K) = {gr.mu_K(comps[0])}")
         if args.out:
             _write_text(args.out, gr.index_report_csv(comps))
@@ -149,8 +162,7 @@ def _build_start(sy, args):
     if args.amplitude > 0:
         rate_min = 2.0 if (args.flavor == "extended" or args.start == "constants") else 0.5
         base = gf.stable_perturbation(
-            sy, base, rng, kmax=args.cutoff or 1,
-            amplitude=args.amplitude, rate_min=rate_min,
+            sy, base, rng, kmax=args.cutoff, amplitude=args.amplitude, rate_min=rate_min,
         )
     return base
 
@@ -199,10 +211,11 @@ def _cmd_hybrid(args) -> int:
         base = gf.discrete_constant_loop(sy, nt=nt)
         rate_min = 2.0
     if args.amplitude > 0:
-        base = gf.stable_perturbation(sy, base, rng, kmax=args.cutoff or 1,
+        base = gf.stable_perturbation(sy, base, rng, kmax=args.cutoff,
                                       amplitude=args.amplitude, rate_min=rate_min)
-    controls = hy.HybridControls(horizon=args.horizon, freq_cutoff=args.cutoff)
-    state = hy.initial_hybrid_state(sy, base, sigma=args.sigma, controls=controls)
+    controls = hy.HybridControls(horizon=args.horizon, freq_cutoff=args.cutoff,
+                                 max_steps=args.steps)
+    state = hy.initial_hybrid_state(sy, base, sigma=args.sigma)
     out, diags = hy.hybrid_relax(sy, state, controls)
     text = hy.hybrid_diagnostics_to_csv(out)
     if args.format == "json":
@@ -219,6 +232,11 @@ def _cmd_hybrid(args) -> int:
     _write_text(args.out, text)
     print(f"hybrid: converged={diags.converged} sweeps={diags.sweeps} "
           f"energy={diags.energy_minus + diags.energy_plus:.6g}")
+    if diags.budget_exhausted:
+        print(f"numerical failure: a half-run used up its step budget of --steps {args.steps} "
+              f"in sweep {diags.sweeps} (horizon {diags.horizon:g}, plus end gradient "
+              f"{diags.end_grad_plus:.3e})", file=sys.stderr)
+        return EXIT_NUMERICAL
     if not diags.converged:
         print(f"numerical failure: plus end gradient {diags.end_grad_plus:.3e} still above "
               f"the end tolerance after {diags.sweeps} sweeps (horizon {diags.horizon:g})",
@@ -276,6 +294,18 @@ def _cmd_selftest(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+# the flags several subcommands share; each subcommand declares the ones it reads
+FLAGS = {
+    "--model": dict(help="model system JSON file"),
+    "--n": dict(type=int, default=1, help="model half-dimension (1..3)"),
+    "--nt": dict(type=int, default=256, help="loop grid size"),
+    "--tol": dict(type=float, default=1e-7, help="stop/validation tolerance"),
+    "--steps": dict(type=int, default=10**6, help="step budget (hybrid: of each half-run)"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -284,18 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--model", help="model system JSON file")
-        p.add_argument("--n", type=int, default=1, help="model half-dimension (1..3)")
-        p.add_argument("--nt", type=int, default=256, help="loop grid size")
-        p.add_argument("--tol", type=float, default=1e-7, help="stop/validation tolerance")
-        p.add_argument("--steps", type=int, default=10**6, help="step budget")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
 
     p = sub.add_parser("index", help="half-integer indices of symplectic paths")
-    common(p)
+    add(p, "--tol", "--seed", "--out", "--format")
+    p.add_argument("--steps", type=int, default=10**6,
+                   help="not read; accepted so that existing command lines parse")
     p.add_argument("--theta", action="store_true", help="use the built-in unipotent path")
     p.add_argument("--csv", help="load a path from CSV")
     p.add_argument("--form", choices=("standard", "theta"), default="standard")
@@ -304,15 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("grade", help="component gradings and dimension reports")
-    common(p)
+    add(p, "--model", "--n", "--seed", "--out", "--format")
     p.add_argument("--constants", action="store_true", help="grade the constants component")
     p.add_argument("--components", help="component table JSON")
     p.add_argument("--ks", help="orbit multiplicities, comma separated")
-    p.add_argument("params", nargs="*", help="key=value parameters (n=)")
     p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser("flow", help="negative gradient flow runs with diagnostics")
-    common(p)
+    add(p, "--model", "--n", "--nt", "--tol", "--steps", "--seed", "--out", "--format")
     p.add_argument("--loop", help="initial loop JSON")
     p.add_argument("--start", choices=("orbit", "constants"), default="orbit")
     p.add_argument("--flavor", choices=("extended", "rabinowitz"), default="extended")
@@ -324,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("hybrid", help="coupled half-cylinder relaxation")
-    common(p)
+    add(p, "--model", "--n", "--nt", "--steps", "--seed", "--out", "--format")
     p.add_argument("--start", choices=("orbit", "constants"), default="orbit")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sigma", type=float, default=0.0)
@@ -334,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hybrid)
 
     p = sub.add_parser("complex", help="verify and reduce a chain-complex instance")
-    common(p)
+    add(p, "--seed", "--out", "--format")
     p.add_argument("--instance", required=True, help="instance file (gen/bnd/phi records)")
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p)
+    add(p, "--seed", "--out")
     p.add_argument("--only", help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_selftest)
     return parser

@@ -16,8 +16,8 @@ Both action functionals are strongly indefinite: the linearized flow has
 growth rates of both signs up to the grid frequency, so the unfiltered
 initial value problem amplifies rounding noise at rate O(N_t) and no
 time-stepping scheme can converge a long run in double precision.  The
-integrator therefore supports a Fourier cutoff ``freq_cutoff``: with it,
-the flow is the exact negative gradient flow of the action restricted to
+integrator therefore flows under a Fourier cutoff ``freq_cutoff``: the
+flow is the exact negative gradient flow of the action restricted to
 the span of modes |k| <= freq_cutoff (a Galerkin subspace that contains
 the model's critical manifolds), while the stopping criterion and the
 structural diagnostics are still evaluated with the full, unprojected
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import write_text
+from ._files import read_json, write_text
 from .model import ModelSystem
 
 __all__ = [
@@ -164,8 +164,7 @@ def action_extended(sys: ModelSystem, loop: ExtendedLoop) -> float:
 def gradient_rabinowitz(sys: ModelSystem, loop: RabinowitzLoop):
     """L2 gradient (J(x' - tau X_H(x)), -integral H dt); exact for the
     discretized action, so it vanishes exactly at discrete critical loops."""
-    acs = sys.acs(loop.tau)
-    gx = (circ_diff(loop.x) - loop.tau * sys.x_h(loop.x)) @ acs.T
+    gx = (circ_diff(loop.x) - loop.tau * sys.x_h(loop.x)) @ sys.acs().T
     gtau = -_loop_h_integral(sys, loop.x)
     return gx, gtau
 
@@ -173,8 +172,7 @@ def gradient_rabinowitz(sys: ModelSystem, loop: RabinowitzLoop):
 def gradient_extended(sys: ModelSystem, loop: ExtendedLoop):
     """L2 gradient (J(x' - eta X_H(x)), zeta' - H(x), -eta')."""
     eta = loop.eta[:, None]
-    acs = sys.acs(loop.eta_avg)
-    gx = (circ_diff(loop.x) - eta * sys.x_h(loop.x)) @ acs.T
+    gx = (circ_diff(loop.x) - eta * sys.x_h(loop.x)) @ sys.acs().T
     geta = circ_diff(loop.zeta) - sys.hamiltonian(loop.x)
     gzeta = -circ_diff(loop.eta)
     return gx, geta, gzeta
@@ -201,9 +199,7 @@ def _g_inner(g1, g2, nt: int) -> float:
     ) / nt
 
 
-def _project_gradient(g, kmax: int | None):
-    if kmax is None:
-        return g
+def _project_gradient(g, kmax: int):
     if len(g) == 2:
         return (fourier_project(g[0], kmax), g[1])
     return tuple(fourier_project(a, kmax) for a in g)
@@ -270,7 +266,7 @@ class _Descent:
     steps: int = 0
 
 
-def _descend(sys, loop, kmax, stop, on_step, ds_max=DS_MAX, max_steps=None, horizon=None):
+def _descend(sys, loop, kmax, stop, on_step, max_steps, ds_max=DS_MAX, horizon=None):
     """Explicit Euler descent along the negative gradient projected to the
     modes |k| <= kmax, with Armijo backtracking on the action.
 
@@ -289,7 +285,7 @@ def _descend(sys, loop, kmax, stop, on_step, ds_max=DS_MAX, max_steps=None, hori
     g_flow = _project_gradient(st.grad, kmax)
     on_step(st, None, 0.0)
     ds = DS0
-    while (max_steps is None or st.steps < max_steps) and (horizon is None or st.s < horizon):
+    while st.steps < max_steps and (horizon is None or st.s < horizon):
         full_norm = grad_norm(st.grad, nt)
         if not (np.isfinite(full_norm) and np.isfinite(st.action)) or abs(st.action) > 1e100:
             raise DivergenceError(
@@ -398,7 +394,7 @@ class IntegrateControls:
     ds_max: float = DS_MAX
     eps_stop: float = 1e-7
     max_steps: int = 10**6
-    freq_cutoff: int | None = 2
+    freq_cutoff: int = 1
 
 
 def _lem1_check(sys: ModelSystem, full_norm: float, max_abs_h: float) -> bool:
@@ -421,13 +417,14 @@ def _observe(sys, loop):
     return float(np.max(habs)), contained, spread
 
 
-def identify_target(sys: ModelSystem, loop, k_range=(-3, 3)) -> str:
-    """Nearest critical component by (action value, |multiplier| bucket)."""
+def identify_target(sys: ModelSystem, loop) -> str:
+    """Nearest critical component by (action value, |multiplier| bucket),
+    among the constants and the orbits of multiplicity |k| <= 3."""
     act = _action(sys, loop)
     tau = loop.tau if isinstance(loop, RabinowitzLoop) else loop.eta_avg
     base = sys.base_period()
     best, best_key = "constants", (abs(act - 0.0), abs(abs(tau) - 0.0))
-    for k in range(k_range[0], k_range[1] + 1):
+    for k in range(-3, 4):
         if k == 0:
             continue
         key = (abs(act - np.pi * k), abs(abs(tau) - abs(k) * base))
@@ -445,7 +442,7 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
     non-finite values.
     """
     kmax = controls.freq_cutoff
-    loop = _project_loop(loop0, kmax) if kmax is not None else loop0
+    loop = _project_loop(loop0, kmax)
     nt = loop.nt
     extended = isinstance(loop, ExtendedLoop)
     zeta0_mean = math.fsum(loop.zeta.tolist()) / nt if extended else 0.0
@@ -475,7 +472,7 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
 
     end, converged = _descend(
         sys, loop, kmax, lambda norm: norm < controls.eps_stop, record,
-        ds_max=controls.ds_max, max_steps=controls.max_steps,
+        controls.max_steps, ds_max=controls.ds_max,
     )
     diags.converged = converged
     diags.stop_reason = "gradient below threshold" if converged else "step budget exhausted"
@@ -577,13 +574,14 @@ def _shift(loop, vec, basis, eps):
     return ExtendedLoop(x=loop.x + d[0], eta=loop.eta + d[1], zeta=loop.zeta + d[2])
 
 
-def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2, eps: float = 1e-5) -> np.ndarray:
+def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
     """Second variation of the action on the |k| <= kmax Fourier subspace.
 
-    Assembled by central differences of the gradient in an orthonormal
-    basis of the subspace, then symmetrized; the discrete L2 metric is the
-    identity in these coordinates.
+    Assembled by central differences of the gradient (step 1e-5) in an
+    orthonormal basis of the subspace, then symmetrized; the discrete L2
+    metric is the identity in these coordinates.
     """
+    eps = 1e-5
     basis = _fourier_basis(loop.nt, kmax)
     dim = _pack_dim(loop, kmax)
     hess = np.empty((dim, dim))
@@ -637,13 +635,7 @@ def loop_to_json(loop, file=None) -> str:
 
 
 def loop_from_json(source):
-    if isinstance(source, (str, bytes)) and str(source).lstrip().startswith("{"):
-        payload = json.loads(source)
-    elif isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(source)
+    payload = read_json(source)
     if payload["type"] == "rabinowitz":
         return RabinowitzLoop(x=np.array(payload["x"], float), tau=float(payload["tau"]))
     return ExtendedLoop(

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._files import write_text
+from ._files import read_json, write_text
 from .model import ModelSystem
 from .rsindex import HalfInteger, block_diag, rotation_path, rs_index, theta_path
 
@@ -325,18 +325,13 @@ def model_components(sys: ModelSystem, ks=(-2, -1, 1, 2)) -> list[CriticalCompon
     return comps
 
 
-def model_generators(components, morse_indices=None) -> list[GradedGenerator]:
+def model_generators(components) -> list[GradedGenerator]:
     """Generators from a perfect Morse function on each component.
 
-    Components of the model are spheres of dimension 2n - 1; the default
-    Morse data has one minimum and one maximum per component.
+    Components of the model are spheres of dimension 2n - 1; the Morse
+    data has one minimum and one maximum per component.
     """
-    gens = []
-    for c in components:
-        idxs = morse_indices if morse_indices is not None else (0, c.dim_k)
-        for i in idxs:
-            gens.append(GradedGenerator(component=c, ind_f=i))
-    return gens
+    return [GradedGenerator(component=c, ind_f=i) for c in components for i in (0, c.dim_k)]
 
 
 # -- serialization --------------------------------------------------------------
@@ -358,20 +353,13 @@ def components_to_json(components, file=None) -> str:
 
 
 def components_from_json(source) -> list[CriticalComponent]:
-    if isinstance(source, (str, bytes)) and str(source).lstrip().startswith("["):
-        rows = json.loads(source)
-    elif isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            rows = json.load(fh)
-    else:
-        rows = json.load(source)
     return [
         CriticalComponent(
             id=r["id"], kind=r["kind"], action=float(r["action"]),
             dim_k=int(r["dim_k"]), n=int(r["n"]),
             mu_rs=HalfInteger(int(r["twice_mu_rs"])),
         )
-        for r in rows
+        for r in read_json(source)
     ]
 
 

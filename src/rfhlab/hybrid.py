@@ -16,6 +16,7 @@ minus input forward for the horizon, project the coupling (exact, the
 constraint is affine), flow the plus side onward.  A half-run freezes once
 its gradient drops below the end tolerance; if the plus end is still away
 from critical at the horizon, the horizon doubles and the sweep repeats.
+A half-run that uses up its step budget ends the relaxation unconverged.
 
 ``hessian_agreement`` verifies numerically that the second variations of
 the two functionals agree on coupled directions (v, rho) vs (v, rho, xi):
@@ -46,7 +47,6 @@ from .gradflow import (
     action_extended,
     action_rabinowitz,
     grad_norm,
-    gradient_extended,
     gradient_rabinowitz,
     lift_loop,
     reduced_hessian,
@@ -96,6 +96,7 @@ class HalfRun:
     grad_norms: list[float] = field(default_factory=list)
     energy_cum: list[float] = field(default_factory=list)
     frozen_from: float | None = None
+    budget_exhausted: bool = False
     eta_inf: float = 0.0
     zeta_spread_inf: float = 0.0
     contained: bool = True
@@ -119,11 +120,10 @@ class HalfRun:
 
 @dataclass
 class HybridState:
-    """Pair of coupled half-trajectories and the horizon."""
+    """Pair of coupled half-trajectories."""
 
     minus: HalfRun
     plus: HalfRun
-    horizon: float
 
     @property
     def minus_end(self) -> RabinowitzLoop:
@@ -141,19 +141,23 @@ class HybridState:
         return r_loop, r_eta
 
 
+# a half-run freezes once its full gradient is this small; the horizon
+# doubles at most MAX_DOUBLINGS times
+END_TOL = 1e-6
+MAX_DOUBLINGS = 3
+
+
 @dataclass(frozen=True)
 class HybridControls:
     horizon: float = 20.0
-    max_doublings: int = 3
-    end_tol: float = 1e-6
-    freq_cutoff: int | None = 1
+    freq_cutoff: int = 1
+    max_steps: int = 10**6  # step budget of each half-run
 
 
 def initial_hybrid_state(
     sys: ModelSystem,
     minus_input: RabinowitzLoop,
     sigma: float = 0.0,
-    controls: HybridControls = HybridControls(),
 ) -> HybridState:
     """Constant-in-s configuration through the given free-period loop.
 
@@ -161,27 +165,16 @@ def initial_hybrid_state(
     invariants hold by construction.
     """
     plus0 = couple_loops(minus_input, sigma)
-    minus = HalfRun(
-        s=[-controls.horizon], loops=[minus_input],
-        actions=[action_rabinowitz(sys, minus_input)],
-        grad_norms=[grad_norm(gradient_rabinowitz(sys, minus_input), minus_input.nt)],
-        energy_cum=[0.0],
-    )
-    plus = HalfRun(
-        s=[0.0], loops=[plus0],
-        actions=[action_extended(sys, plus0)],
-        grad_norms=[grad_norm(gradient_extended(sys, plus0), plus0.nt)],
-        energy_cum=[0.0],
-    )
-    return HybridState(minus=minus, plus=plus, horizon=controls.horizon)
+    return HybridState(minus=HalfRun(loops=[minus_input]), plus=HalfRun(loops=[plus0]))
 
 
 def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridControls) -> HalfRun:
-    """Negative-gradient half-run over flow time ``horizon``.
+    """Negative-gradient half-run over flow time ``horizon``, or over
+    ``controls.max_steps`` steps if that budget runs out first.
 
     Records every accepted step; freezes (stops stepping) once the full
-    gradient drops to the end tolerance, since past that point the
-    trajectory stays within end_tol/rate of the frozen loop.
+    gradient drops to END_TOL, since past that point the trajectory stays
+    within END_TOL/rate of the frozen loop.
     """
     run = HalfRun()
     r_plateau = sys.profile.r_plateau
@@ -194,12 +187,13 @@ def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridContro
         run.observe(st.loop, r_plateau)
 
     end, frozen = _descend(
-        sys, loop, controls.freq_cutoff, lambda norm: norm <= controls.end_tol, record,
-        horizon=horizon,
+        sys, loop, controls.freq_cutoff, lambda norm: norm <= END_TOL, record,
+        controls.max_steps, horizon=horizon,
     )
     run.loops = [loop, end.loop]
     if frozen:
         run.frozen_from = s_offset + end.s
+    run.budget_exhausted = end.steps >= controls.max_steps and end.s < horizon
     return run
 
 
@@ -217,6 +211,7 @@ class HybridDiagnostics:
     end_grad_minus_input: float = 0.0
     end_grad_plus: float = 0.0
     converged: bool = False
+    budget_exhausted: bool = False
     eta_minus_inf: float = 0.0
     eta_plus_inf: float = 0.0
     zeta_spread_inf: float = 0.0
@@ -233,7 +228,9 @@ def hybrid_relax(
     Each sweep flows the stored minus input forward over the horizon,
     re-imposes the coupling at s = 0 exactly, and flows the plus side on.
     The horizon doubles (re-sweeping from the same input) until the plus
-    end gradient passes the end tolerance or the doubling budget runs out.
+    end gradient passes END_TOL or the doubling budget runs out.  A
+    half-run that uses up ``controls.max_steps`` ends the sweeps, since a
+    longer horizon would repeat the same steps from the same input.
 
     Returns (relaxed HybridState, HybridDiagnostics).  The summed-energy
     identity is recorded; a coupling residual above rounding raises
@@ -242,7 +239,7 @@ def hybrid_relax(
     """
     minus_input = state.minus.loops[0]
     sigma_ref = float(np.mean(state.plus.loops[0].zeta))
-    horizon = state.horizon
+    horizon = controls.horizon
 
     sweeps = 0
     while True:
@@ -250,12 +247,12 @@ def hybrid_relax(
         minus = _half_run(sys, minus_input, -horizon, horizon, controls)
         plus0 = couple_loops(minus.loops[-1], sigma_ref)
         plus = _half_run(sys, plus0, 0.0, horizon, controls)
-        end_grad = plus.grad_norms[-1]
-        if end_grad <= controls.end_tol or sweeps > controls.max_doublings:
+        exhausted = minus.budget_exhausted or plus.budget_exhausted
+        if plus.grad_norms[-1] <= END_TOL or exhausted or sweeps > MAX_DOUBLINGS:
             break
         horizon *= 2.0
 
-    out = HybridState(minus=minus, plus=plus, horizon=horizon)
+    out = HybridState(minus=minus, plus=plus)
 
     r_loop, r_eta = out.coupling_residuals()
     if max(r_loop, r_eta) > 1e-12:
@@ -278,7 +275,8 @@ def hybrid_relax(
         energy_identity_residual=abs((e_m + e_p) - (minus.actions[0] - plus.actions[-1])),
         end_grad_minus_input=minus.grad_norms[0],
         end_grad_plus=plus.grad_norms[-1],
-        converged=plus.grad_norms[-1] <= controls.end_tol,
+        converged=plus.grad_norms[-1] <= END_TOL and not exhausted,
+        budget_exhausted=exhausted,
         eta_minus_inf=minus.eta_inf,
         eta_plus_inf=plus.eta_inf,
         zeta_spread_inf=plus.zeta_spread_inf,
@@ -299,22 +297,21 @@ def hessian_agreement(
     xhat: RabinowitzLoop,
     sigma: float = 0.0,
     probes=None,
-    n_probes: int = 50,
     rng: np.random.Generator | None = None,
-    eps: float = 1e-4,
-    crit_tol: float = 1e-8,
 ) -> float:
     """Max discrepancy between the two second variations over probes.
 
     Each probe is (v, rho, xi): a loop tangent field, a multiplier
-    direction, and an arbitrary zeta-direction loop.  The free-period
-    functional sees (v, rho); its lift sees (v, rho const, xi).  Both
-    second variations are central second differences of the actions;
-    the lift's extra terms vanish identically, so the discrepancy is
-    rounding noise.  Requires the base point to be critical.
+    direction, and an arbitrary zeta-direction loop; without ``probes``,
+    50 random ones in the modes |k| <= 3.  The free-period functional
+    sees (v, rho); its lift sees (v, rho const, xi).  Both second
+    variations are central second differences (step 1e-4) of the
+    actions; the lift's extra terms vanish identically, so the
+    discrepancy is rounding noise.  Requires the base point to be
+    critical (gradient norm at most 1e-8).
     """
     g = gradient_rabinowitz(sys, xhat)
-    if grad_norm(g, xhat.nt) > crit_tol:
+    if grad_norm(g, xhat.nt) > 1e-8:
         raise ValueError("hessian_agreement requires a critical base point")
     nt = xhat.nt
     lift = lift_loop(xhat, sigma)
@@ -322,7 +319,7 @@ def hessian_agreement(
         rng = rng or np.random.default_rng(0)
         basis = _fourier_basis(nt, 3)
         probes = []
-        for _ in range(n_probes):
+        for _ in range(50):
             v = basis @ rng.standard_normal((basis.shape[1], xhat.x.shape[1]))
             rho = float(rng.standard_normal())
             xi = basis @ rng.standard_normal(basis.shape[1])
@@ -343,8 +340,8 @@ def hessian_agreement(
                 ),
             )
 
-        q_free = _second_difference(a_free, eps)
-        q_lift = _second_difference(a_lift, eps)
+        q_free = _second_difference(a_free, 1e-4)
+        q_lift = _second_difference(a_lift, 1e-4)
         worst = max(worst, abs(q_free - q_lift))
     return worst
 
@@ -411,22 +408,21 @@ def auto_transversality_check(
     sys: ModelSystem,
     xhat: RabinowitzLoop,
     sigma: float = 0.0,
-    kmax: int = 2,
-    n_seeds: int = 6,
     rng: np.random.Generator | None = None,
-    s_max: float = 1.0,
-    kernel_tol: float = 1e-6,
 ) -> AutoTransversalityReport:
     """Spectral and dynamical check of the linearized matching problem.
 
     Builds the reduced second variation of the fixed-period action at the
-    stationary lift and verifies: the kernel has the critical manifold's
+    stationary lift, on the modes |k| <= 2, and verifies: the kernel
+    (eigenvalues within 1e-6 of zero) has the critical manifold's
     dimension plus one; the sigma-shift lies in it; the rest of the kernel
     is tangent to the critical manifold (pinned by the Morse data), so
     after that identification the sigma-shift is the only neutral
-    direction.  Evolves seeds under the linearized flow and reports decay
-    rates; positive-cone seeds must have strictly decreasing norm.
+    direction.  Evolves six positive-cone and six random seeds under the
+    linearized flow to s = 1 and reports decay rates; positive-cone seeds
+    must have strictly decreasing norm.
     """
+    kmax, n_seeds, s_max, kernel_tol = 2, 6, 1.0, 1e-6
     rng = rng or np.random.default_rng(0)
     lift = lift_loop(xhat, sigma)
     nt = lift.nt

@@ -22,20 +22,17 @@ The compatible almost complex structure is the constant -J_n: it is the
 unique sign for which omega(J., .) built from d(lambda) is a Riemannian
 metric (so the gradient flows downstream descend) and for which the
 contact-type equation dr o J = r alpha holds on the symplectization cone
-outside a compact set.  A tau-dependent perturbation hook exists but
-defaults to the constant structure.
+outside a compact set.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ._files import write_text
+from ._files import read_json, write_text
 from .symlin import standard_jmat
 
 __all__ = [
@@ -126,7 +123,6 @@ class ModelSystem:
     alpha0: float
     x_h_sup: float
     jmat: np.ndarray = field(repr=False)
-    acs_hook: Callable[[float], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -154,10 +150,8 @@ class ModelSystem:
         v = np.asarray(v, dtype=float)
         return 0.5 * np.sum((x @ self.jmat.T) * v, axis=-1)
 
-    def acs(self, tau: float = 0.0) -> np.ndarray:
-        """Compatible almost complex structure; constant -J unless hooked."""
-        if self.acs_hook is not None:
-            return self.acs_hook(tau)
+    def acs(self) -> np.ndarray:
+        """Compatible almost complex structure, the constant -J."""
         return -self.jmat
 
     def angular_rate(self, r) -> np.ndarray:
@@ -184,7 +178,6 @@ def make_model(
     r0: float = 1.2,
     r_plateau: float = 1.5,
     h_thr: float | None = None,
-    acs_hook: Callable[[float], np.ndarray] | None = None,
 ) -> ModelSystem:
     """Build and validate a model system.
 
@@ -225,7 +218,6 @@ def make_model(
         alpha0=alpha0,
         x_h_sup=profile.sup_hp(),
         jmat=standard_jmat(n),
-        acs_hook=acs_hook,
     )
 
 
@@ -281,12 +273,12 @@ class ReebOrbitFamily:
         return self.kind == "empty"
 
 
-def reeb_orbits(sys: ModelSystem, tau: float, tol: float = 1e-9) -> ReebOrbitFamily:
+def reeb_orbits(sys: ModelSystem, tau: float) -> ReebOrbitFamily:
     """Classify the 1-periodic orbits of the extended field at multiplier tau.
 
     tau = 0 yields the constants family Sigma x {0}; tau != 0 yields the
-    orbit family exactly when tau h'(1) is a whole number of turns, and
-    the empty family otherwise.
+    orbit family exactly when tau h'(1) is a whole number of turns (to
+    1e-9), and the empty family otherwise.
     """
     dim_k = 2 * sys.n - 1
     if tau == 0.0:
@@ -296,7 +288,7 @@ def reeb_orbits(sys: ModelSystem, tau: float, tol: float = 1e-9) -> ReebOrbitFam
         )
     turns = tau * float(sys.profile.hp(1.0)) / (2.0 * np.pi)
     k = int(round(turns))
-    if k == 0 or abs(turns - k) > tol:
+    if k == 0 or abs(turns - k) > 1e-9:
         return ReebOrbitFamily(
             kind="empty", tau=tau, n=sys.n, multiplicity=None,
             action=0.0, dim_k=None, dim_extended=None,
@@ -317,7 +309,6 @@ def orbit_loop(sys: ModelSystem, family: ReebOrbitFamily, t, base: np.ndarray | 
     base = np.asarray(base, dtype=float)
     base = base / np.linalg.norm(base)
     theta = family.tau * float(sys.profile.hp(1.0)) * np.asarray(t, dtype=float)
-    eye = np.eye(sys.dim)
     return np.cos(theta)[..., None] * base + np.sin(theta)[..., None] * (sys.jmat @ base)
 
 
@@ -353,15 +344,7 @@ def model_to_json(sys: ModelSystem, file=None) -> str:
 
 def model_from_json(source) -> ModelSystem:
     """Rebuild a system from model_to_json output (path, file, or text)."""
-    if isinstance(source, (str, bytes)) and str(source).lstrip().startswith("{"):
-        payload = json.loads(source)
-    elif isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            payload = json.load(fh)
-    elif isinstance(source, io.IOBase):
-        payload = json.load(source)
-    else:
-        payload = dict(source)
+    payload = read_json(source)
     return make_model(
         n=int(payload["n"]),
         r0=float(payload["r0"]),

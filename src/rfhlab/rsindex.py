@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._files import write_text
-from .symlin import SymmetricForm, signature, standard_jmat, symplectic_defect
+from .symlin import SymmetricForm, standard_jmat, symplectic_defect
 
 __all__ = [
     "HalfInteger",
@@ -104,10 +104,6 @@ class HalfInteger:
     twice_value: int
 
     @staticmethod
-    def from_halves(n_halves: int) -> "HalfInteger":
-        return HalfInteger(int(n_halves))
-
-    @staticmethod
     def whole(n: int) -> "HalfInteger":
         return HalfInteger(2 * int(n))
 
@@ -149,7 +145,7 @@ class Crossing:
     kind: str = "interior"  # "start" | "interior" | "end" | "plateau"
 
 
-# default tolerances, suitable for unit-scale paths
+# tolerances of the index engine, suitable for unit-scale paths
 CROSS_TOL = 1e-8          # sigma_min below this counts as singular
 KERNEL_TOL = 1e-6         # singular values below this span the kernel
 VANISH_TOL = 1e-7         # plateau crossing forms must stay below this
@@ -184,7 +180,6 @@ class SymplecticPath:
         generator: Callable[[float], np.ndarray] | None = None,
         evaluator: Callable[[float], np.ndarray] | None = None,
         tol: float = 1e-7,
-        check: bool = True,
     ):
         self.ts = np.asarray(ts, dtype=float)
         self.mats = np.asarray(mats, dtype=float)
@@ -198,8 +193,7 @@ class SymplecticPath:
         self.generator = generator
         self.evaluator = evaluator
         self.tol = float(tol)
-        if check:
-            self._validate()
+        self._validate()
 
     # -- construction checks -------------------------------------------------
 
@@ -423,23 +417,23 @@ def rs_index_segment(path: SymplecticPath, a: float = 0.0, b: float = 1.0) -> Ha
     return value
 
 
-def rs_index_detailed(path: SymplecticPath, tol: float = CROSS_TOL):
+def rs_index_detailed(path: SymplecticPath):
     """Index of the full path together with the list of crossings found."""
-    return _segment_detailed(path, 0.0, 1.0, cross_tol=tol)
+    return _segment_detailed(path, 0.0, 1.0)
 
 
-def rs_index(path: SymplecticPath, tol: float = CROSS_TOL) -> HalfInteger:
+def rs_index(path: SymplecticPath) -> HalfInteger:
     """Robbin-Salamon index of the path as an exact half-integer.
 
     Raises:
         IrregularCrossingError: a degenerate interior crossing was found.
         ResolutionError: a near-crossing is unresolved at this sampling.
     """
-    value, _ = _segment_detailed(path, 0.0, 1.0, cross_tol=tol)
+    value, _ = _segment_detailed(path, 0.0, 1.0)
     return value
 
 
-def _segment_detailed(path, a, b, cross_tol: float = CROSS_TOL):
+def _segment_detailed(path, a, b):
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
     dim, eye = path.dim, np.eye(path.dim)
@@ -452,7 +446,7 @@ def _segment_detailed(path, a, b, cross_tol: float = CROSS_TOL):
     n = len(ts)
     svals = np.linalg.svd(mats - eye, compute_uv=False)
     det = np.linalg.det(mats - eye)
-    kdims = np.sum(svals <= cross_tol, axis=1)
+    kdims = np.sum(svals <= CROSS_TOL, axis=1)
 
     # a plateau is a run of two or more singular samples; the kernel
     # dimension it keeps throughout is its background
@@ -494,9 +488,9 @@ def _segment_detailed(path, a, b, cross_tol: float = CROSS_TOL):
             return
         mat = path.at(t)
         sigma = np.linalg.svd(mat - eye, compute_uv=False)[-(bg + 1)]
-        if sigma > 100 * cross_tol:
+        if sigma > 100 * CROSS_TOL:
             return
-        if sigma > cross_tol:
+        if sigma > CROSS_TOL:
             raise ResolutionError(
                 f"unresolved near-crossing at t={t:.9f} "
                 f"(sigma_min={sigma:.3e}); rebuild the path with finer sampling"

@@ -1,8 +1,6 @@
 """Acceptance gate: every criterion at its stated tolerance, one pass/fail
 line each (run pytest with -s to watch them stream)."""
 
-import pytest
-
 from rfhlab import acceptance
 
 

@@ -1,9 +1,16 @@
+import argparse
+import contextlib
 import filecmp
+import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfhlab import cli
+from rfhlab.gradflow import discrete_orbit_loop, loop_to_json
+from rfhlab.model import make_model, model_to_json
 from rfhlab.rsindex import rotation_path, save_path_csv
 
 
@@ -22,7 +29,7 @@ def test_index_theta_perturbed(capsys):
 
 
 def test_grade_constants_prints_one_minus_n(capsys):
-    assert run(["grade", "--constants", "n=2"]) == 0
+    assert run(["grade", "--constants", "--n", "2"]) == 0
     assert "mu(K) = -1" in capsys.readouterr().out
 
 
@@ -32,12 +39,15 @@ def test_index_csv_input(tmp_path, capsys):
     save_path_csv(path, str(csv))
     assert run(["index", "--csv", str(csv)]) == 0
     assert "mu_rs = 2" in capsys.readouterr().out
+    # a sampled path has no generator to perturb
+    assert run(["index", "--csv", str(csv), "--delta", "1e-3"]) == 2
+    assert "--delta" in capsys.readouterr().err
 
 
 def test_config_errors_exit_two(capsys):
     assert run(["index", "--theta", "tau=1", "hp=1"]) == 2  # missing hpp
     assert run(["index"]) == 2  # neither source
-    assert run(["grade", "--constants", "n=7"]) == 2  # unsupported dimension
+    assert run(["grade", "--constants", "--n", "7"]) == 2  # unsupported dimension
     assert run(["complex", "--instance", "/nonexistent/file.txt"]) == 2
     capsys.readouterr()
 
@@ -90,6 +100,17 @@ def _nan_csv(tmp_path):
     (["hybrid", "--horizon", "-2"], "--horizon"),
     (["hybrid", "--horizon", "inf"], "--horizon"),
     (["index", "--csv", "NAN_CSV"], "data row 4, column 3"),
+    (["flow", "--nt", "0"], "--nt"),
+    (["flow", "--nt", "-4"], "--nt"),
+    (["flow", "--nt", "3"], "--nt"),  # the orbit start would land on the constants
+    (["flow", "--n", "0"], "--n must"),
+    (["hybrid", "--n", "4"], "--n must"),
+    (["flow", "--cutoff", "0"], "--cutoff"),
+    (["hybrid", "--k", "2"], "--cutoff"),  # the orbit's own modes are cut off
+    (["flow", "--sigma", "nan"], "--sigma"),
+    (["hybrid", "--sigma", "inf"], "--sigma"),
+    (["index", "--theta", "tau=1", "hp=1", "hpp=1", "--delta", "nan"], "--delta"),
+    (["index", "--theta", "tau=nan", "hp=1", "hpp=1"], "tau"),
 ])
 def test_bad_numbers_exit_two_naming_the_flag(tmp_path, capsys, argv, named):
     argv = [_nan_csv(tmp_path) if a == "NAN_CSV" else a for a in argv]
@@ -174,6 +195,22 @@ def test_hybrid_not_converged_exits_three(tmp_path, capsys):
     assert out.read_text().startswith("side,step,s,action,grad_norm")
 
 
+@pytest.mark.parametrize("argv", [
+    ["hybrid", "--amplitude", "3e-6", "--steps", "1"],
+    ["hybrid", "--amplitude", "1e-2", "--steps", "50"],  # an escaping start
+])
+def test_hybrid_step_budget_exhausted_exits_three(tmp_path, capsys, argv):
+    out = tmp_path / "hyb.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    # a longer horizon would repeat the same steps, so the first sweep is the last
+    assert "hybrid: converged=False sweeps=1" in captured.out
+    assert "step budget of --steps" in captured.err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for side in ("minus", "plus"):
+        assert max(int(r[1]) for r in rows if r[0] == side) <= int(argv[-1])
+
+
 def test_hybrid_subcommand(tmp_path):
     out = tmp_path / "hyb.csv"
     assert run(["hybrid", "--start", "orbit", "--amplitude", "3e-6",
@@ -208,3 +245,105 @@ def test_grade_component_table_roundtrip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("id,kind,action")
     assert any(line.startswith("orbit+1,") for line in lines)
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    surface = {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in choices.items()
+    }
+    io_flags = {"--seed", "--out", "--format"}
+    model = {"--model", "--n"}
+    assert surface == {
+        # index keeps --steps, unread, so that existing command lines still parse
+        "index": io_flags | {"--tol", "--steps", "--theta", "--csv", "--form", "--delta",
+                             "params"},
+        "grade": io_flags | model | {"--constants", "--components", "--ks"},
+        "flow": io_flags | model | {"--nt", "--tol", "--steps", "--loop", "--start", "--flavor",
+                                    "--k", "--sigma", "--amplitude", "--cutoff", "--snapshot"},
+        "hybrid": io_flags | model | {"--nt", "--steps", "--start", "--k", "--sigma",
+                                      "--amplitude", "--cutoff", "--horizon"},
+        "complex": io_flags | {"--instance"},
+        "selftest": {"--seed", "--out", "--only"},
+    }
+    assert sum(len(flags) for flags in surface.values()) == 54
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Input files the fuzzed command lines name by placeholder."""
+    d = tmp_path_factory.mktemp("cli_fuzz")
+    files = {name: str(d / name) for name in
+             ("rot.csv", "nan.csv", "model.json", "loop.json", "inst.txt", "bad.txt")}
+    save_path_csv(rotation_path(1, 2 * np.pi, n_samples=65), files["rot.csv"])
+    save_path_csv(rotation_path(1, 2 * np.pi, n_samples=9), files["nan.csv"])
+    with open(files["nan.csv"]) as fh:
+        text = fh.read()
+    with open(files["nan.csv"], "w") as fh:
+        fh.write(text.replace("\n1,", "\nnan,", 1))
+    sy = make_model(n=1)
+    model_to_json(sy, files["model.json"])
+    loop_to_json(discrete_orbit_loop(sy, 1, 16), files["loop.json"])
+    with open(files["inst.txt"], "w") as fh:
+        fh.write("gen a degree 1 action 2\ngen b degree 0 action 1\nbnd a b\n")
+    with open(files["bad.txt"], "w") as fh:
+        fh.write("gen a degree 1 action 1\ngen b degree 0 action 2\nbnd a b\n")
+    files["missing.txt"] = str(d / "missing.txt")
+    return files
+
+
+INTS = ("0", "-1")
+FLOATS = ("0", "-1", "nan", "inf")
+
+
+def _command(name, *required, **optional):
+    """Strategy for one subcommand's argv: each required strategy drawn, each
+    optional flag absent or set to one of its values."""
+    parts = list(required) + [
+        st.one_of(st.just([]), st.sampled_from(values).map(lambda v, f=flag: [f"--{f}={v}"]))
+        for flag, values in optional.items()
+    ]
+    return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+
+def _either(flag, values):
+    return st.sampled_from([[f"--{flag}={v}"] for v in values])
+
+
+_theta = st.tuples(*(st.sampled_from(FLOATS + ("1", "2")).map(lambda v, k=k: f"{k}={v}")
+                     for k in ("tau", "hp", "hpp"))).map(lambda ps: ["--theta", *ps])
+# flows and relaxations always get a small grid and step budget
+_nt = _either("nt", INTS + ("3", "8", "64"))
+_steps = _either("steps", INTS + ("1", "5", "50"))
+
+ARGV = st.one_of(
+    _command("index", _theta, tol=FLOATS + ("1e-6",), steps=("50",),
+             delta=FLOATS + ("1e-3",), format=("csv", "json")),
+    _command("index", _either("csv", ("rot.csv", "nan.csv", "missing.txt")),
+             tol=FLOATS + ("1e-6",), delta=("1e-3",)),
+    _command("grade", st.sampled_from([[], ["--constants"]]), n=INTS + ("1", "2"),
+             model=("model.json",), ks=("1", "-1,2"), format=("csv", "json")),
+    _command("flow", _nt, _steps, n=INTS + ("1", "2"), k=INTS + ("1", "2"),
+             cutoff=INTS + ("1", "2"), sigma=FLOATS + ("0.3",), amplitude=FLOATS + ("1e-5",),
+             tol=FLOATS + ("1e-6",), start=("orbit", "constants"),
+             flavor=("extended", "rabinowitz"), loop=("loop.json",), format=("csv", "json")),
+    _command("hybrid", _nt, _steps, n=INTS + ("1", "2"), k=INTS + ("1", "2"),
+             cutoff=INTS + ("1", "2"), sigma=FLOATS + ("0.3",), amplitude=FLOATS + ("3e-6",),
+             horizon=FLOATS + ("0.5",), start=("orbit", "constants"), format=("csv", "json")),
+    _command("complex", _either("instance", ("inst.txt", "bad.txt", "missing.txt")),
+             format=("csv", "json")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV)
+@example(argv=["flow", "--nt=0", "--steps=5"])
+def test_fuzzed_command_lines_exit_with_a_documented_code(cli_files, argv):
+    # file placeholders name the module's input files
+    argv = [f"{flag}={cli_files[value]}" if value in cli_files else f"{flag}{eq}{value}"
+            for flag, eq, value in (a.partition("=") for a in argv)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv

@@ -5,11 +5,9 @@ from rfhlab import cli
 from rfhlab import hybrid as hy
 from rfhlab.gradflow import (
     DivergenceError,
-    ExtendedLoop,
     StepSizeError,
     discrete_constant_loop,
     discrete_orbit_loop,
-    lift_loop,
     stable_perturbation,
 )
 from rfhlab.hybrid import (
@@ -83,8 +81,7 @@ def test_perturbed_stationary_reconverges_with_identities(sys1, orbit):
 
 
 def test_hessian_agreement_random_probes(sys1, orbit):
-    worst = hessian_agreement(sys1, orbit, sigma=0.3, n_probes=50,
-                              rng=np.random.default_rng(2))
+    worst = hessian_agreement(sys1, orbit, sigma=0.3, rng=np.random.default_rng(2))
     assert worst <= 1e-5
 
 
@@ -108,8 +105,7 @@ def test_hessian_agreement_requires_critical_base(sys1, orbit):
 
 
 def test_auto_transversality_orbit(sys1, orbit):
-    rep = auto_transversality_check(sys1, orbit, sigma=0.2, kmax=2,
-                                    rng=np.random.default_rng(4))
+    rep = auto_transversality_check(sys1, orbit, sigma=0.2, rng=np.random.default_rng(4))
     assert rep.kernel_dim == rep.expected_kernel_dim == 2
     assert rep.rstar_in_kernel
     assert rep.kernel_spanned_by_manifold_and_rstar
@@ -126,8 +122,7 @@ def test_auto_transversality_orbit(sys1, orbit):
 
 def test_auto_transversality_constants(sys1):
     rep = auto_transversality_check(sys1, discrete_constant_loop(sys1, nt=NT),
-                                    sigma=-0.1, kmax=2,
-                                    rng=np.random.default_rng(5))
+                                    sigma=-0.1, rng=np.random.default_rng(5))
     assert rep.kernel_dim == 2  # Sigma tangent + sigma line for n = 1
     assert rep.rstar_only_neutral
 
@@ -135,8 +130,7 @@ def test_auto_transversality_constants(sys1):
 def test_auto_transversality_higher_dimension():
     sy = make_model(n=2)
     orbit = discrete_orbit_loop(sy, 1, 128)
-    rep = auto_transversality_check(sy, orbit, sigma=0.0, kmax=2,
-                                    rng=np.random.default_rng(6))
+    rep = auto_transversality_check(sy, orbit, sigma=0.0, rng=np.random.default_rng(6))
     # kernel = critical-manifold tangents (2n - 1 = 3) plus the sigma line
     assert rep.kernel_dim == rep.expected_kernel_dim == 4
     assert rep.rstar_only_neutral
@@ -155,9 +149,8 @@ def test_hybrid_csv_schema(sys1, orbit):
 def test_horizon_doubles_until_plus_end_relaxes(sys1, orbit):
     rng = np.random.default_rng(7)
     pert = stable_perturbation(sys1, orbit, rng, kmax=1, amplitude=3e-6, rate_min=0.5)
-    controls = HybridControls(horizon=0.5, max_doublings=6)
-    state = initial_hybrid_state(sys1, pert, sigma=0.1, controls=controls)
-    out, d = hybrid_relax(sys1, state, controls)
+    state = initial_hybrid_state(sys1, pert, sigma=0.1)
+    out, d = hybrid_relax(sys1, state, HybridControls(horizon=0.5))
     assert d.converged
     assert d.horizon > 0.5  # at least one doubling happened
     assert d.sweeps >= 2

@@ -168,15 +168,8 @@ def test_model_validation_errors():
         make_model(n=1, r0=0.9)  # plateau must start beyond the level
 
 
-def test_acs_hook_defaults_off_and_is_pluggable():
-    # the compatible structure is constant -J by default; a tau-dependent
-    # family can be hooked in for experiments
-    base = make_model(n=1)
-    assert np.array_equal(base.acs(0.0), -base.jmat)
-    assert np.array_equal(base.acs(3.7), -base.jmat)
-
-    def hook(tau):
-        return -base.jmat * (1.0 + 0.0 * tau)
-
-    hooked = make_model(n=1, acs_hook=hook)
-    assert np.array_equal(hooked.acs(1.0), -base.jmat)
+def test_acs_is_constant_minus_j():
+    # the compatible structure is the constant -J on every model
+    for n in (1, 2, 3):
+        sy = make_model(n=n)
+        assert np.array_equal(sy.acs(), -sy.jmat)

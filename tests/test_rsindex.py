@@ -430,3 +430,11 @@ def test_rotation_index_closed_form(m, size, negative):
 def test_rotation_index_closed_form_through_csv(m, size, negative):
     angle = _angle(size, negative)
     _check_rotation_index(_csv_copy(rotation_path(m, angle, 2049)), m, angle)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the first samples of a slow rotation stay within CROSS_TOL of the identity and form a "
+    "plateau whose crossing form a*I does not vanish: refused as irregular, or read as 0"))
+@pytest.mark.parametrize("angle", [1e-8, 1e-7, 1e-6, -1e-6, 4e-6])
+def test_slow_rotation_index_is_its_sign(angle):
+    assert rs_index(rotation_path(1, angle)) == HalfInteger.whole(int(np.sign(angle)))
