@@ -355,18 +355,19 @@ def criterion_9(seed: int = 3):
         for _ in range(20):
             c_src = z2.random_filtered_complex(rng, n_gens=12)
             gens = [z2.Generator(g.id, None, g.action) for g in c_src.generators]
-            c_src2 = z2.FilteredZ2Complex(gens, list(c_src.pairs))
-            m = z2.ChainMapMatrix(gens, [
-                (a.id, b.id)
-                for a in gens for b in gens
-                if a.action > b.action + 1e-9 and rng.random() < 0.3
-            ])
-            order, p = z2.phi_matrix(m)
-            _, dmat = z2.boundary_matrix(c_src2)
+            c_src2 = z2.FilteredZ2Complex.from_matrix(gens, c_src.matrix)
+            # one draw per action-lowering pair (a, b), row-major over gens
+            rank = {g: i for i, g in enumerate(c_src2.order)}
+            at = np.array([rank[g.id] for g in gens])
+            act = np.array([g.action for g in gens])
+            src, dst = np.nonzero(act[:, None] > act[None, :] + 1e-9)
+            keep = rng.random(src.size) < 0.3
+            p = np.eye(len(gens), dtype=np.uint8)
+            p[at[dst[keep]], at[src[keep]]] = 1
+            m = z2.ChainMapMatrix.from_matrix(gens, p)
             _, q = z2.phi_matrix(z2.phi_invert(m))
-            d_conj = z2.gf2_matmul(z2.gf2_matmul(p, dmat), q)
-            pairs = [(order[s], order[t]) for t, s in np.argwhere(d_conj == 1)]
-            c_tgt = z2.FilteredZ2Complex(gens, pairs)
+            d_conj = z2.gf2_matmul(z2.gf2_matmul(p, c_src2.matrix), q)
+            c_tgt = z2.FilteredZ2Complex.from_matrix(gens, d_conj)
             good, _ = z2.verify_chain_map(m, c_src2, c_tgt)
             ok = ok and good
         return ok, {"complexes": 50, "inversions": 100, "chain_maps": 20}

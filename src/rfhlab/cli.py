@@ -66,6 +66,23 @@ def _check_numbers(args):
                           f"got {args.nt}")
 
 
+# flow flags that shape a built start, with their defaults; the flow
+# parser leaves them unset so that a --loop start can refuse them
+_START_FLAGS = {"nt": 256, "k": 1, "start": "orbit", "flavor": "extended",
+                "sigma": 0.0, "amplitude": 1e-5, "seed": 0}
+
+
+def _resolve_start_flags(args):
+    if args.loop:
+        given = [f"--{name}" for name in _START_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} shape a built start and cannot be "
+                              "combined with --loop")
+    for name, default in _START_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _kv_floats(pairs, required):
     out = {}
     for item in pairs:
@@ -171,6 +188,10 @@ def _cmd_flow(args) -> int:
     sy = _load_model(args.model, args.n)
     if args.loop:
         start = gf.loop_from_json(args.loop)
+        dim = start.x.shape[1] if start.x.ndim == 2 else None
+        if dim != 2 * sy.n:
+            raise ConfigError(f"--loop holds a loop of dimension {dim}, but the model has "
+                              f"--n {sy.n}, dimension {2 * sy.n}")
     else:
         start = _build_start(sy, args)
     controls = gf.IntegrateControls(
@@ -338,15 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="negative gradient flow runs with diagnostics")
     add(p, "--model", "--n", "--nt", "--tol", "--steps", "--seed", "--out", "--format")
-    p.add_argument("--loop", help="initial loop JSON")
-    p.add_argument("--start", choices=("orbit", "constants"), default="orbit")
-    p.add_argument("--flavor", choices=("extended", "rabinowitz"), default="extended")
-    p.add_argument("--k", type=int, default=1, help="orbit multiplicity")
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--amplitude", type=float, default=1e-5)
+    p.add_argument("--loop", help="initial loop JSON (instead of a built start)")
+    p.add_argument("--start", choices=("orbit", "constants"))
+    p.add_argument("--flavor", choices=("extended", "rabinowitz"))
+    p.add_argument("--k", type=int, help="orbit multiplicity")
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--amplitude", type=float)
     p.add_argument("--cutoff", type=int, default=1, help="Fourier cutoff (stabilizer)")
     p.add_argument("--snapshot", help="write the final loop as JSON")
-    p.set_defaults(func=_cmd_flow)
+    p.set_defaults(func=_cmd_flow, **dict.fromkeys(_START_FLAGS))
 
     p = sub.add_parser("hybrid", help="coupled half-cylinder relaxation")
     add(p, "--model", "--n", "--nt", "--steps", "--seed", "--out", "--format")
@@ -374,6 +395,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "flow":
+            _resolve_start_flags(args)
         _check_numbers(args)
         return args.func(args)
     except ConfigError as exc:

@@ -5,10 +5,9 @@ on the standard complex structure
 
     J_m = [[0, -I_m], [I_m, 0]]
 
-on R^{2m} and the bilinear form omega_m(u, v) = u . (J_m v).  Signatures of
-small symmetric matrices are computed with a symmetric eigensolver and an
-explicit zero-cluster tolerance; matrices are dense (dimensions here never
-exceed a few dozen).
+on R^{2m} and the bilinear form omega_m(u, v) = u . (J_m v).  Matrices are
+dense; symmetric forms never exceed a few dozen dimensions, and the index
+engine in `rsindex` takes their signatures.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -19,11 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-
-
-class DegenerateFormError(ValueError):
-    """A symmetric form has an eigenvalue inside the zero tolerance."""
 
 
 def standard_jmat(m: int) -> np.ndarray:
@@ -34,31 +28,6 @@ def standard_jmat(m: int) -> np.ndarray:
     jmat[:m, m:] = -np.eye(m)
     jmat[m:, :m] = np.eye(m)
     return jmat
-
-
-@dataclass(frozen=True)
-class StandardStructure:
-    """Standard symplectic structure on R^{2m}.
-
-    The form is omega(u, v) = u . (J v); J is skew-orthogonal (J^2 = -I,
-    J^T = -J), so omega is antisymmetric and J-invariant.
-    """
-
-    m: int
-    jmat: np.ndarray = field(repr=False)
-
-    def omega(self, u, v) -> float:
-        """Evaluate omega_m(u, v) = u . (J_m v)."""
-        return float(np.dot(np.asarray(u, float), self.jmat @ np.asarray(v, float)))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.m
-
-
-def standard_structure(m: int) -> StandardStructure:
-    """Build the standard structure on R^{2m}.  Rejects m == 0."""
-    return StandardStructure(m=m, jmat=standard_jmat(m))
 
 
 @dataclass(frozen=True)
@@ -80,35 +49,6 @@ class SymmetricForm:
         return self.entries.shape[0]
 
 
-def signature(form, tol: float = 1e-9, allow_degenerate: bool = False) -> int:
-    """Signature of a symmetric form: (#eigenvalues > tol) - (#eigenvalues < -tol).
-
-    Args:
-        form: SymmetricForm or array-like square matrix (symmetrized here).
-        tol: half-width of the zero cluster; must be positive.
-        allow_degenerate: if False, an eigenvalue inside [-tol, tol] raises
-            DegenerateFormError.  If True, such eigenvalues count as zero.
-
-    Returns:
-        Integer signature.
-    """
-    if tol <= 0:
-        raise ValueError("signature tolerance must be positive")
-    if not isinstance(form, SymmetricForm):
-        form = SymmetricForm(form)
-    if form.k == 0:
-        return 0
-    evals = np.linalg.eigvalsh(form.entries)
-    n_pos = int(np.sum(evals > tol))
-    n_neg = int(np.sum(evals < -tol))
-    if not allow_degenerate and n_pos + n_neg < evals.size:
-        bad = evals[(evals <= tol) & (evals >= -tol)]
-        raise DegenerateFormError(
-            f"form has eigenvalue(s) {bad} within tolerance {tol} of zero"
-        )
-    return n_pos - n_neg
-
-
 def symplectic_defect(mat, form: np.ndarray | None = None) -> float:
     """Max-norm of M^T Omega M - Omega, the deviation from Sp(2m)."""
     a = np.asarray(mat, dtype=float)
@@ -121,50 +61,8 @@ def symplectic_defect(mat, form: np.ndarray | None = None) -> float:
     return float(np.max(np.abs(a.T @ form @ a - form)))
 
 
-def is_symplectic(mat, tol: float, form: np.ndarray | None = None) -> bool:
-    """True iff ||M^T Omega M - Omega||_inf <= tol (Omega defaults to J_m)."""
-    return symplectic_defect(mat, form) <= tol
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A 2m x 2m matrix validated against a symplectic form on construction."""
-
-    entries: np.ndarray = field(repr=False)
-    tol: float = 1e-9
-
-    def __init__(self, entries, tol: float = 1e-9, form: np.ndarray | None = None):
-        a = np.array(entries, dtype=float)
-        defect = symplectic_defect(a, form)
-        if defect > tol:
-            raise ValueError(
-                f"matrix is not symplectic within tol={tol} (defect {defect:.3e})"
-            )
-        if np.linalg.det(a) <= 0:
-            raise ValueError("symplectic matrix must have positive determinant")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "tol", float(tol))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def random_symmetric(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random symmetric matrix with entries of the given scale."""
     a = rng.standard_normal((dim, dim)) * scale
     return 0.5 * (a + a.T)
 
-
-def random_symplectic(
-    m: int, rng: np.random.Generator, scale: float = 0.5, form: np.ndarray | None = None
-) -> np.ndarray:
-    """Random symplectic matrix exp(J S) with S random symmetric.
-
-    If J S spans the symplectic Lie algebra of the form Omega = J (the
-    default standard pairing), the exponential lands in Sp(2m).
-    """
-    jmat = standard_jmat(m) if form is None else np.asarray(form, float)
-    s = random_symmetric(2 * m, rng, scale)
-    return expm(jmat @ s)

@@ -1,13 +1,14 @@
 """Action-filtered Z2 chain complexes and triangular chain isomorphisms.
 
-Generators carry an action value and (optionally) an integer degree.
-Boundary data is a set of ordered pairs (from, to) with coefficient 1 in
-Z2, subject to the filtration rule action(to) <= action(from) and, when
-both degrees are present, degree(to) = degree(from) - 1.  Chain-map data
-is triangular in action order with unit diagonal: every diagonal pair is
-present and off-diagonal pairs strictly lower the action, so its matrix
-P[to, from] in canonical (action-descending) order is I + N with N
-strictly lower triangular, and is invertible row by row.
+Generators carry an action value and (optionally) an integer degree.  A
+complex or a chain map stores one read-only 0/1 uint8 matrix M[to, from]
+over the canonical order (action descending, then id), built from ordered
+(from, to) id pairs or adopted as is; its id pairs `.pairs` or `.off_diag`
+are read-only views derived on each read.  Boundary entries obey the
+filtration rule action(to) <= action(from) and, when both degrees are
+present, degree(to) = degree(from) - 1.  A chain map has a unit diagonal
+and off-diagonal entries that strictly lower the action, so its matrix is
+I + N with N strictly lower triangular, and is invertible row by row.
 
 Linear algebra is dense GF(2).  Matrices cross the API as numpy uint8
 arrays.  Triangular inversion and elimination hold each row as
@@ -68,12 +69,65 @@ class Generator:
     action: float
 
 
-def _sorted_ids(generators) -> list[str]:
-    # canonical order: action descending, then id
-    return [g.id for g in sorted(generators, key=lambda g: (-g.action, g.id))]
+def _ranked(generators) -> list[Generator]:
+    """Generators in canonical order: action descending, then id."""
+    ranked = sorted(generators, key=lambda g: (-g.action, g.id))
+    if len({g.id for g in ranked}) != len(ranked):
+        raise ValueError("generator ids must be unique")
+    return ranked
 
 
-class FilteredZ2Complex:
+def _canonical(generators, pairs, kind: str) -> np.ndarray:
+    """The 0/1 matrix M[to, from] of (from, to) id pairs over the canonical
+    order; the only work per pair is the id lookup."""
+    idx = {g.id: i for i, g in enumerate(_ranked(generators))}
+    pairs = list(pairs)
+    try:
+        ends = np.array([(idx[dst], idx[src]) for src, dst in pairs], dtype=np.intp).reshape(-1, 2)
+    except KeyError:
+        src, dst = next(p for p in pairs if p[0] not in idx or p[1] not in idx)
+        raise ValueError(f"{kind} pair ({src}, {dst}) references unknown generator") from None
+    mat = np.zeros((len(idx), len(idx)), dtype=np.uint8)
+    mat[ends[:, 0], ends[:, 1]] = 1
+    return mat
+
+
+def _id_pairs(order, mat) -> frozenset:
+    """(from, to) id pairs of the nonzero entries M[to, from]."""
+    ids = np.array(order, dtype=object)
+    to, frm = np.nonzero(mat)
+    return frozenset(zip(ids[frm], ids[to]))
+
+
+def _first_entry(items, mask: np.ndarray):
+    """(items[from], items[to]) at the first True M[to, from], row-major."""
+    hits = np.argwhere(mask)
+    return (items[hits[0, 1]], items[hits[0, 0]]) if len(hits) else None
+
+
+class _CanonicalMatrix:
+    """Generators and one read-only 0/1 matrix M[to, from] over their
+    canonical order, held to the subclass's `_check` rules."""
+
+    @classmethod
+    def from_matrix(cls, generators, matrix):
+        """Adopt a 0/1 matrix M[to, from] over the canonical order of the
+        generators, held to the same rules as pairs."""
+        obj = cls.__new__(cls)
+        obj._adopt(list(generators), np.array(matrix, dtype=np.uint8))
+        return obj
+
+    def _adopt(self, generators, matrix):
+        ranked = _ranked(generators)
+        size = (len(ranked), len(ranked))
+        if matrix.shape != size or matrix.max(initial=0) > 1:
+            raise ValueError(f"expected a 0/1 matrix of shape {size}, got shape {matrix.shape}")
+        self._check(ranked, matrix)
+        matrix.setflags(write=False)
+        self.generators, self.order, self.matrix = generators, [g.id for g in ranked], matrix
+
+
+class FilteredZ2Complex(_CanonicalMatrix):
     """Finite list of generators with Z2 boundary counts.
 
     The infinite filtered vector space behind this structure admits
@@ -83,51 +137,47 @@ class FilteredZ2Complex:
     """
 
     def __init__(self, generators, boundary_pairs):
-        self.generators = list(generators)
-        ids = [g.id for g in self.generators]
-        if len(set(ids)) != len(ids):
-            raise ValueError("generator ids must be unique")
-        self.by_id = {g.id: g for g in self.generators}
-        self.pairs = set()
-        for src, dst in boundary_pairs:
-            if src not in self.by_id or dst not in self.by_id:
-                raise ValueError(f"boundary pair ({src}, {dst}) references unknown generator")
-            a, b = self.by_id[src], self.by_id[dst]
-            if b.action > a.action + 1e-12:
-                raise FiltrationError(
-                    f"boundary {src} -> {dst} raises the action "
-                    f"({a.action} -> {b.action})"
-                )
-            if a.degree is not None and b.degree is not None and b.degree != a.degree - 1:
-                raise GradingError(
-                    f"boundary {src} -> {dst} drops degree by "
-                    f"{a.degree - b.degree}, expected 1"
-                )
-            self.pairs.add((src, dst))
+        generators = list(generators)
+        self._adopt(generators, _canonical(generators, boundary_pairs, "boundary"))
+
+    @staticmethod
+    def _check(ranked, matrix):
+        act = np.array([g.action for g in ranked], dtype=float)
+        graded = np.array([g.degree is not None for g in ranked], dtype=bool)
+        deg = np.array([g.degree or 0 for g in ranked], dtype=np.int64)
+        raises = act[:, None] > act[None, :] + 1e-12
+        skips = graded[:, None] & graded[None, :] & (deg[:, None] != deg[None, :] - 1)
+        hit = _first_entry(ranked, matrix.astype(bool) & (raises | skips))
+        if hit is None:
+            return
+        a, b = hit
+        if b.action > a.action + 1e-12:
+            raise FiltrationError(
+                f"boundary {a.id} -> {b.id} raises the action ({a.action} -> {b.action})"
+            )
+        raise GradingError(
+            f"boundary {a.id} -> {b.id} drops degree by {a.degree - b.degree}, expected 1"
+        )
 
     @property
-    def order(self) -> list[str]:
-        return _sorted_ids(self.generators)
+    def pairs(self) -> frozenset:
+        """(from, to) id pairs of the boundary."""
+        return _id_pairs(self.order, self.matrix)
 
 
 def boundary_matrix(c: FilteredZ2Complex):
-    """Matrix D with D[to, from] = 1 over Z2, in canonical action order."""
-    order = c.order
-    idx = {g: i for i, g in enumerate(order)}
-    d = np.zeros((len(order), len(order)), dtype=np.uint8)
-    for src, dst in c.pairs:
-        d[idx[dst], idx[src]] = 1
-    return order, d
+    """Canonical order and the stored matrix D[to, from] over Z2."""
+    return c.order, c.matrix
 
 
-def boundary_apply(c: FilteredZ2Complex, eps) -> set:
-    """Apply the boundary to a chain given as a set of generator ids."""
+def boundary_apply(c: FilteredZ2Complex | ChainMapMatrix, eps) -> set:
+    """Apply the boundary to a chain given as a set of generator ids, over
+    Z2; `phi_apply` applies a chain map the same way."""
     eps = set(eps)
-    out: set = set()
-    for src, dst in c.pairs:
-        if src in eps:
-            out ^= {dst}
-    return out
+    if not eps <= set(c.order):
+        raise ValueError(f"chain references unknown generators {sorted(eps - set(c.order))[:4]}")
+    cols = [i for i, g in enumerate(c.order) if g in eps]
+    return {c.order[i] for i in np.flatnonzero(c.matrix[:, cols].sum(axis=1) & 1)}
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,9 +196,9 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _tri_inverse(nil: np.ndarray) -> np.ndarray:
-    """(I + N)^-1 over GF(2) for N = nil strictly lower triangular: row i
-    is e_i xor the rows j < i with N[i, j] = 1, built in order on packed
-    rows."""
+    """(I + N)^-1 over GF(2) for N the strictly lower triangle of nil (the
+    diagonal and above are not read): row i is e_i xor the rows j < i with
+    N[i, j] = 1, built in order on packed rows."""
     size = len(nil)
     x = _pack(np.eye(size, dtype=np.uint8))
     for i in range(size):
@@ -179,20 +229,11 @@ def gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
-def _first_hit(order, diff: np.ndarray):
-    """(True, None) when diff is zero, else (False, (from id, to id)) at its
-    first nonzero entry D[to, from]."""
-    hits = np.argwhere(diff == 1)
-    if hits.size == 0:
-        return True, None
-    to_i, from_i = hits[0]
-    return False, (order[from_i], order[to_i])
-
-
 def verify_d_squared(c: FilteredZ2Complex):
-    """True iff the boundary squares to zero; else a witness pair of ids."""
-    order, d = boundary_matrix(c)
-    return _first_hit(order, gf2_matmul(d, d))
+    """(True, None) iff the boundary squares to zero, else (False, the
+    (from, to) ids of the first nonzero entry of d^2)."""
+    hit = _first_entry(c.order, gf2_matmul(c.matrix, c.matrix) == 1)
+    return hit is None, hit
 
 
 def homology(c: FilteredZ2Complex) -> dict:
@@ -201,113 +242,79 @@ def homology(c: FilteredZ2Complex) -> dict:
     Generators without a degree are collected under the key None and
     contribute dim ker - dim im as a single number.
     """
-    order, d = boundary_matrix(c)
-    ok, witness = _first_hit(order, gf2_matmul(d, d))
+    ok, witness = verify_d_squared(c)
     if not ok:
         raise ValueError(f"boundary does not square to zero (witness {witness})")
-    degs = {g.id: g.degree for g in c.generators}
-    degrees = sorted({deg for deg in degs.values() if deg is not None})
-    idx = {g: i for i, g in enumerate(order)}
-    out = {}
-    for k in degrees:
-        cols = [idx[g] for g in order if degs[g] == k]
-        rows_below = [idx[g] for g in order if degs[g] == k - 1]
-        rank_k = gf2_rank(d[np.ix_(rows_below, cols)]) if cols and rows_below else 0
-        cols_up = [idx[g] for g in order if degs[g] == k + 1]
-        rank_up = gf2_rank(d[np.ix_(cols, cols_up)]) if cols and cols_up else 0
-        out[k] = len(cols) - rank_k - rank_up
-    # ungraded bucket
-    free = [idx[g] for g in order if degs[g] is None]
-    if free:
-        sub = d[np.ix_(free, free)]
-        out[None] = len(free) - 2 * gf2_rank(sub)
+    degs = [g.degree for g in _ranked(c.generators)]
+
+    def block(to_deg, from_deg):
+        rows = [i for i, k in enumerate(degs) if k == to_deg]
+        cols = [i for i, k in enumerate(degs) if k == from_deg]
+        return gf2_rank(c.matrix[np.ix_(rows, cols)])
+
+    out = {k: degs.count(k) - block(k - 1, k) - block(k, k + 1)
+           for k in sorted({k for k in degs if k is not None})}
+    if None in degs:
+        out[None] = degs.count(None) - 2 * block(None, None)
     return out
 
 
-class ChainMapMatrix:
+class ChainMapMatrix(_CanonicalMatrix):
     """Triangular chain-map counts: unit diagonal, strictly action-lowering
-    off-diagonal entries."""
+    off-diagonal entries.  Pairs imply the diagonal; a matrix carries it."""
 
-    def __init__(self, generators, pairs, include_diagonal: bool = True):
-        self.generators = list(generators)
-        self.by_id = {g.id: g for g in self.generators}
-        explicit = set(pairs)
-        self.off_diag = set()
-        diagonal_seen = set()
-        for src, dst in explicit:
-            if src not in self.by_id or dst not in self.by_id:
-                raise ValueError(f"chain-map pair ({src}, {dst}) references unknown generator")
-            if src == dst:
-                diagonal_seen.add(src)
-                continue
-            a, b = self.by_id[src], self.by_id[dst]
-            if not (a.action > b.action + 1e-12):
-                raise FiltrationError(
-                    f"chain-map entry {src} -> {dst} does not strictly lower "
-                    f"the action ({a.action} -> {b.action})"
-                )
-            self.off_diag.add((src, dst))
-        if not include_diagonal and diagonal_seen != {g.id for g in self.generators}:
-            missing = sorted({g.id for g in self.generators} - diagonal_seen)
+    def __init__(self, generators, pairs):
+        generators = list(generators)
+        unit = np.eye(len(generators), dtype=np.uint8)
+        self._adopt(generators, _canonical(generators, pairs, "chain-map") | unit)
+
+    @staticmethod
+    def _check(ranked, matrix):
+        act = np.array([g.action for g in ranked], dtype=float)
+        bad = matrix.astype(bool) & ~(act[None, :] > act[:, None] + 1e-12)
+        np.fill_diagonal(bad, False)
+        hit = _first_entry(ranked, bad)
+        if hit is not None:
+            a, b = hit
+            raise FiltrationError(
+                f"chain-map entry {a.id} -> {b.id} does not strictly lower "
+                f"the action ({a.action} -> {b.action})"
+            )
+        missing = sorted(ranked[i].id for i in np.flatnonzero(matrix.diagonal() == 0))
+        if missing:
             raise NotInvertibleError(
-                f"chain-map matrix has zero diagonal at {missing[:4]}; "
-                "a unit diagonal is required"
+                f"chain-map matrix has zero diagonal at {missing[:4]}; a unit diagonal is required"
             )
 
     @property
-    def order(self) -> list[str]:
-        return _sorted_ids(self.generators)
+    def off_diag(self) -> frozenset:
+        """(from, to) id pairs of the entries off the diagonal."""
+        return _id_pairs(self.order, np.tril(self.matrix, -1))
 
 
 def phi_matrix(m: ChainMapMatrix):
-    order = m.order
-    idx = {g: i for i, g in enumerate(order)}
-    p = np.eye(len(order), dtype=np.uint8)
-    for src, dst in m.off_diag:
-        p[idx[dst], idx[src]] = 1
-    return order, p
+    """Canonical order and the stored matrix P[to, from] = I + N over Z2."""
+    return m.order, m.matrix
 
 
-def phi_apply(m: ChainMapMatrix, eps) -> set:
-    """Apply the chain map to a chain of generator ids over Z2."""
-    eps = set(eps)
-    out = set(eps)  # unit diagonal
-    for src, dst in m.off_diag:
-        if src in eps:
-            out ^= {dst}
-    return out
+phi_apply = boundary_apply
 
 
 def phi_invert(m: ChainMapMatrix) -> ChainMapMatrix:
-    """Inverse chain map, exactly.
-
-    In canonical order the matrix is I + N with N strictly lower
-    triangular, so the inverse is triangular too and its entries strictly
-    lower the action; its off-diagonal entries become the pairs of the
-    result, which passes the same filtration check as any chain map.
-    """
-    order, p = phi_matrix(m)
-    q = _tri_inverse(p ^ np.eye(len(order), dtype=np.uint8))
-    np.fill_diagonal(q, 0)
-    ids = np.array(order, dtype=object)
-    dst, src = np.nonzero(q)
-    return ChainMapMatrix(m.generators, set(zip(ids[src], ids[dst])))
+    """Inverse chain map, exactly: (I + N)^-1 is unit lower triangular in
+    canonical order too, so its entries strictly lower the action."""
+    return ChainMapMatrix.from_matrix(m.generators, _tri_inverse(m.matrix))
 
 
 def verify_chain_map(m: ChainMapMatrix, c_source: FilteredZ2Complex, c_target: FilteredZ2Complex):
-    """True iff boundary_target o Phi = Phi o boundary_source over Z2.
-
-    Both complexes must share the generator set.  On failure returns a
-    witness pair (from, to) where the composites differ.
-    """
-    if {g.id for g in c_source.generators} != {g.id for g in c_target.generators}:
-        raise ValueError("chain-map verification needs a shared generator set")
-    order, p = phi_matrix(m)
-    _, d_src = boundary_matrix(c_source)
-    _, d_tgt = boundary_matrix(c_target)
-    lhs = gf2_matmul(d_tgt, p)
-    rhs = gf2_matmul(p, d_src)
-    return _first_hit(order, lhs ^ rhs)
+    """True iff boundary_target o Phi = Phi o boundary_source over Z2; on
+    failure a witness pair (from, to) where the composites differ.  The map
+    and both complexes must share one generator set and order."""
+    if not m.order == c_source.order == c_target.order:
+        raise ValueError("chain-map verification needs a shared generator set and order")
+    p = m.matrix
+    hit = _first_entry(m.order, gf2_matmul(c_target.matrix, p) != gf2_matmul(p, c_source.matrix))
+    return hit is None, hit
 
 
 # -- instance files -----------------------------------------------------------------
@@ -315,22 +322,18 @@ def verify_chain_map(m: ChainMapMatrix, c_source: FilteredZ2Complex, c_target: F
 
 def save_instance(file, c: FilteredZ2Complex, m: ChainMapMatrix | None = None) -> str:
     """Line-oriented text: gen/bnd/phi records, canonically sorted."""
-    lines = []
-    for g in sorted(c.generators, key=lambda g: (-g.action, g.id)):
-        deg = "-" if g.degree is None else str(g.degree)
-        lines.append(f"gen {g.id} degree {deg} action {format(g.action, '.17g')}")
-    for src, dst in sorted(c.pairs):
-        lines.append(f"bnd {src} {dst}")
+    lines = [f"gen {g.id} degree {'-' if g.degree is None else g.degree} action {g.action:.17g}"
+             for g in _ranked(c.generators)]
+    lines += [f"bnd {src} {dst}" for src, dst in sorted(c.pairs)]
     if m is not None:
-        for src, dst in sorted(m.off_diag | {(g.id, g.id) for g in m.generators}):
-            lines.append(f"phi {src} {dst}")
+        lines += [f"phi {src} {dst}" for src, dst in sorted(_id_pairs(m.order, m.matrix))]
     return write_text(file, "\n".join(lines) + "\n")
 
 
 def load_instance(file):
     """Read an instance file; returns (complex, chain map or None)."""
     text = read_text(file)
-    gens, bnd, phi = [], [], []
+    gens, records = [], {"bnd": [], "phi": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -339,15 +342,16 @@ def load_instance(file):
         if parts[0] == "gen" and len(parts) == 6 and parts[2] == "degree" and parts[4] == "action":
             deg = None if parts[3] == "-" else int(parts[3])
             gens.append(Generator(id=parts[1], degree=deg, action=float(parts[5])))
-        elif parts[0] == "bnd" and len(parts) == 3:
-            bnd.append((parts[1], parts[2]))
-        elif parts[0] == "phi" and len(parts) == 3:
-            phi.append((parts[1], parts[2]))
+        elif parts[0] in records and len(parts) == 3:
+            records[parts[0]].append((parts[1], parts[2]))
         else:
             raise ValueError(f"line {lineno}: unrecognized record {raw!r}")
-    c = FilteredZ2Complex(gens, bnd)
-    m = ChainMapMatrix(gens, phi, include_diagonal=False) if phi else None
-    return c, m
+    c = FilteredZ2Complex(gens, records["bnd"])
+    if not records["phi"]:
+        return c, None
+    # the records as they stand: a missing `phi g g` record is a zero on
+    # the diagonal, which the chain-map rules reject
+    return c, ChainMapMatrix.from_matrix(gens, _canonical(gens, records["phi"], "chain-map"))
 
 
 # -- randomized instances for property suites ----------------------------------------
@@ -364,24 +368,16 @@ def random_filtered_complex(rng: np.random.Generator, n_gens: int = 12) -> Filte
         act = float(rng.uniform(1.0, 3.0))
         gens.append(Generator(id=f"a{i}", degree=deg, action=act))
         gens.append(Generator(id=f"b{i}", degree=deg - 1, action=act - float(rng.uniform(0.1, 0.9))))
-    order = _sorted_ids(gens)
-    by_id = {g.id: g for g in gens}
-    idx = {g: i for i, g in enumerate(order)}
-    n = len(order)
-    d = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n_pairs):
-        d[idx[f"b{i}"], idx[f"a{i}"]] = 1
-    # triangular automorphism preserving degree and lowering action: one
-    # draw per eligible (i, j), in row-major order
-    act = np.array([by_id[g].action for g in order])
-    deg = np.array([by_id[g].degree for g in order])
-    rows, cols = np.nonzero((act[:, None] < act[None, :] - 1e-9) & (deg[:, None] == deg[None, :]))
-    keep = rng.random(rows.size) < 0.4
-    nil = np.zeros((n, n), dtype=np.uint8)
-    nil[rows[keep], cols[keep]] = 1
-    d_conj = gf2_matmul(gf2_matmul(nil ^ np.eye(n, dtype=np.uint8), d), _tri_inverse(nil))
-    pairs = [(order[src], order[dst]) for dst, src in np.argwhere(d_conj == 1)]
-    return FilteredZ2Complex(gens, pairs)
+    d = _canonical(gens, [(f"a{i}", f"b{i}") for i in range(n_pairs)], "boundary")
+    # triangular automorphism T = I + N preserving degree and lowering
+    # action: one draw per eligible (i, j), in row-major order
+    ranked = _ranked(gens)
+    act = np.array([g.action for g in ranked])
+    deg = np.array([g.degree for g in ranked])
+    eligible = (act[:, None] < act[None, :] - 1e-9) & (deg[:, None] == deg[None, :])
+    t = np.eye(len(gens), dtype=np.uint8)
+    t[eligible] = rng.random(np.count_nonzero(eligible)) < 0.4
+    return FilteredZ2Complex.from_matrix(gens, gf2_matmul(gf2_matmul(t, d), _tri_inverse(t)))
 
 
 def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float = 0.3):
@@ -390,8 +386,10 @@ def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float
         Generator(id=f"g{i}", degree=int(rng.integers(0, 3)), action=float(i) + 1.0)
         for i in range(n_gens)
     ]
-    # action of g{i} is higher than g{j} for i > j: one draw per pair, row-major
+    # action of g{i} is higher than g{j} for i > j: one draw per pair
+    # (g{i}, g{j}), row-major; g{i} ranks n_gens - 1 - i in canonical order
     rows, cols = np.tril_indices(n_gens, -1)
     keep = rng.random(rows.size) < density
-    ids = np.array([g.id for g in gens], dtype=object)
-    return ChainMapMatrix(gens, set(zip(ids[rows[keep]], ids[cols[keep]])))
+    p = np.eye(n_gens, dtype=np.uint8)
+    p[n_gens - 1 - cols[keep], n_gens - 1 - rows[keep]] = 1
+    return ChainMapMatrix.from_matrix(gens, p)

@@ -87,6 +87,12 @@ def _nan_csv(tmp_path):
     return str(csv)
 
 
+def _loop_json(tmp_path):
+    loop = tmp_path / "loop.json"
+    loop_to_json(discrete_orbit_loop(make_model(n=1), 1, 16), str(loop))
+    return str(loop)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["flow", "--tol", "-1", "--steps", "50"], "--tol"),
     (["flow", "--tol", "0"], "--tol"),
@@ -111,9 +117,19 @@ def _nan_csv(tmp_path):
     (["hybrid", "--sigma", "inf"], "--sigma"),
     (["index", "--theta", "tau=1", "hp=1", "hpp=1", "--delta", "nan"], "--delta"),
     (["index", "--theta", "tau=nan", "hp=1", "hpp=1"], "tau"),
+    # a --loop start is read as it is: the flags of a built start are refused
+    (["flow", "--loop", "LOOP_JSON", "--nt", "8"], "--nt"),
+    (["flow", "--loop", "LOOP_JSON", "--k", "2"], "--k"),
+    (["flow", "--loop", "LOOP_JSON", "--start", "constants"], "--start"),
+    (["flow", "--loop", "LOOP_JSON", "--flavor", "rabinowitz"], "--flavor"),
+    (["flow", "--loop", "LOOP_JSON", "--sigma", "3"], "--sigma"),
+    (["flow", "--loop", "LOOP_JSON", "--amplitude", "1e-2"], "--amplitude"),
+    (["flow", "--loop", "LOOP_JSON", "--seed", "0"], "--seed"),
+    (["flow", "--loop", "LOOP_JSON", "--n", "2"], "loop of dimension 2, but the model has --n 2"),
 ])
 def test_bad_numbers_exit_two_naming_the_flag(tmp_path, capsys, argv, named):
-    argv = [_nan_csv(tmp_path) if a == "NAN_CSV" else a for a in argv]
+    files = {"NAN_CSV": _nan_csv, "LOOP_JSON": _loop_json}
+    argv = [files[a](tmp_path) if a in files else a for a in argv]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err

@@ -1,7 +1,10 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,12 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the package runs on numpy alone
+    probe = "import sys, rfhlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

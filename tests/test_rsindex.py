@@ -23,7 +23,8 @@ from rfhlab.rsindex import (
     theta_form,
     theta_path,
 )
-from rfhlab.symlin import random_symmetric, random_symplectic, symplectic_defect
+from rfhlab.symlin import random_symmetric, symplectic_defect
+from symplectic_helpers import random_symplectic
 
 
 def test_half_integer_arithmetic():

@@ -10,7 +10,6 @@ from rfhlab.z2complex import (
     FiltrationError,
     FilteredZ2Complex,
     Generator,
-    _sorted_ids,
     _tri_inverse,
     GradingError,
     NotInvertibleError,
@@ -31,6 +30,11 @@ from rfhlab.z2complex import (
 )
 
 # -- reference oracles: the earlier loop implementations -------------------------
+
+
+def canonical_ids(generators):
+    """Ids by action descending, then id."""
+    return [g.id for g in sorted(generators, key=lambda g: (-g.action, g.id))]
 
 
 def ref_gf2_matmul(a, b):
@@ -83,7 +87,7 @@ def ref_phi_invert(m):
     for src, dst in m.off_diag:
         into[dst].append(src)
     pairs = set()
-    order_desc = _sorted_ids(gens)
+    order_desc = canonical_ids(gens)
     for source in order_desc:
         m_row = {source: 1}
         for target in order_desc:
@@ -119,7 +123,7 @@ def ref_random_filtered_complex(rng, n_gens=12):
         act = float(rng.uniform(1.0, 3.0))
         gens.append(Generator(id=f"a{i}", degree=deg, action=act))
         gens.append(Generator(id=f"b{i}", degree=deg - 1, action=act - float(rng.uniform(0.1, 0.9))))
-    order = _sorted_ids(gens)
+    order = canonical_ids(gens)
     by_id = {g.id: g for g in gens}
     idx = {g: i for i, g in enumerate(order)}
     n = len(order)
@@ -137,6 +141,49 @@ def ref_random_filtered_complex(rng, n_gens=12):
                 t[i, j] = 1
     d_conj = ref_gf2_matmul(ref_gf2_matmul(t, d), ref_neumann_inverse(t))
     return gens, {(order[src], order[dst]) for dst, src in np.argwhere(d_conj == 1)}
+
+
+def ref_boundary_pairs(generators, pairs):
+    """The per-pair validation loop of the complex constructor."""
+    by_id = {g.id: g for g in generators}
+    if len(by_id) != len(generators):
+        raise ValueError("generator ids must be unique")
+    out = set()
+    for src, dst in pairs:
+        if src not in by_id or dst not in by_id:
+            raise ValueError(f"boundary pair ({src}, {dst}) references unknown generator")
+        a, b = by_id[src], by_id[dst]
+        if b.action > a.action + 1e-12:
+            raise FiltrationError(
+                f"boundary {src} -> {dst} raises the action "
+                f"({a.action} -> {b.action})"
+            )
+        if a.degree is not None and b.degree is not None and b.degree != a.degree - 1:
+            raise GradingError(
+                f"boundary {src} -> {dst} drops degree by "
+                f"{a.degree - b.degree}, expected 1"
+            )
+        out.add((src, dst))
+    return out
+
+
+def ref_chain_off_diag(generators, pairs):
+    """The per-pair validation loop of the chain-map constructor."""
+    by_id = {g.id: g for g in generators}
+    out = set()
+    for src, dst in pairs:
+        if src not in by_id or dst not in by_id:
+            raise ValueError(f"chain-map pair ({src}, {dst}) references unknown generator")
+        if src == dst:
+            continue
+        a, b = by_id[src], by_id[dst]
+        if not (a.action > b.action + 1e-12):
+            raise FiltrationError(
+                f"chain-map entry {src} -> {dst} does not strictly lower "
+                f"the action ({a.action} -> {b.action})"
+            )
+        out.add((src, dst))
+    return out
 
 
 SIZES = (1, 2, 5, 63, 64, 65, 130, 256)
@@ -244,9 +291,12 @@ def test_phi_invert_random_and_involution():
 
 
 def test_missing_diagonal_rejected():
-    gens = [Generator("p", 1, 3.0), Generator("q", 1, 2.0)]
-    with pytest.raises(NotInvertibleError):
-        ChainMapMatrix(gens, [("p", "p")], include_diagonal=False)
+    text = ("gen p degree 1 action 3\ngen q degree 1 action 2\n"
+            "phi p p\nphi p q\nphi q q\n")
+    _, m = load_instance(io.StringIO(text))
+    assert m.off_diag == {("p", "q")}
+    with pytest.raises(NotInvertibleError, match=r"zero diagonal at \['q'\]"):
+        load_instance(io.StringIO(text.replace("phi q q\n", "")))
 
 
 def test_random_complexes_square_to_zero():
@@ -438,3 +488,65 @@ def test_phi_invert_n1024_smoke():
     _, q = phi_matrix(inv)
     assert np.array_equal(gf2_matmul(p, q), np.eye(n, dtype=np.uint8))
     assert phi_invert(inv).off_diag == m.off_diag
+
+
+# -- array rules against the per-pair loops ----------------------------------------
+
+# tied actions, and a pair 1e-13 apart that the 1e-12 tolerance calls tied
+ACTIONS = (0.5, 1.0, 1.0 + 1e-13, 2.0)
+
+
+@st.composite
+def generators_and_pairs(draw):
+    n = draw(st.integers(1, 7))
+    gens = [Generator(f"g{i}", draw(st.sampled_from((None, 0, 1, 2))),
+                      draw(st.sampled_from(ACTIONS))) for i in range(n)]
+    ids = st.sampled_from([g.id for g in gens] + ["unknown"])
+    # duplicates and diagonal pairs come up by themselves
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return gens, pairs
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _in_check_order(gens, pairs):
+    """The order in which the array rules report: unknown ids first, in
+    their given order, then the pairs row-major in M[to, from]."""
+    rank = {g: i for i, g in enumerate(canonical_ids(gens))}
+    return sorted(pairs, key=lambda p: (1, rank[p[1]], rank[p[0]])
+                  if p[0] in rank and p[1] in rank else (0,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=generators_and_pairs())
+def test_array_rules_match_per_pair_rules(case):
+    gens, pairs = case
+    ordered = _in_check_order(gens, pairs)
+    got = _outcome(lambda: FilteredZ2Complex(gens, pairs).pairs)
+    assert got == _outcome(ref_boundary_pairs, gens, ordered)
+    got = _outcome(lambda: ChainMapMatrix(gens, pairs).off_diag)
+    assert got == _outcome(ref_chain_off_diag, gens, ordered)
+    if not isinstance(got, tuple):
+        # the matrix constructor applies the same rules to the same matrix
+        m = ChainMapMatrix(gens, pairs)
+        assert ChainMapMatrix.from_matrix(gens, m.matrix).off_diag == got
+
+
+def test_rules_reject_bad_input():
+    gens = [Generator("p", 1, 3.0), Generator("q", 1, 2.0)]
+    with pytest.raises(ValueError, match="unique"):
+        ChainMapMatrix(gens + gens[:1], [])
+    with pytest.raises(NotInvertibleError, match=r"zero diagonal at \['p', 'q'\]"):
+        ChainMapMatrix.from_matrix(gens, np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0/1 matrix of shape"):
+        FilteredZ2Complex.from_matrix(gens, np.eye(3, dtype=np.uint8))
+    with pytest.raises(ValueError, match="unknown generators"):
+        boundary_apply(FilteredZ2Complex(gens, []), {"x"})
+    c = FilteredZ2Complex(gens, [])
+    with pytest.raises(ValueError):
+        c.matrix[0, 1] = 1  # the stored matrix is read-only
