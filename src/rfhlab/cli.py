@@ -188,7 +188,7 @@ def _cmd_flow(args) -> int:
     sy = _load_model(args.model, args.n)
     if args.loop:
         start = gf.loop_from_json(args.loop)
-        dim = start.x.shape[1] if start.x.ndim == 2 else None
+        dim = start.x.shape[1]
         if dim != 2 * sy.n:
             raise ConfigError(f"--loop holds a loop of dimension {dim}, but the model has "
                               f"--n {sy.n}, dimension {2 * sy.n}")

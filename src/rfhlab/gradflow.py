@@ -635,14 +635,38 @@ def loop_to_json(loop, file=None) -> str:
 
 
 def loop_from_json(source):
+    """The loop ``loop_to_json`` wrote.
+
+    Raises ValueError naming the field that is missing or ill-typed: a
+    payload that is no object, a ``type`` other than rabinowitz or
+    extended, ``x`` not a (N_t, 2n) array, ``tau`` not a number, or
+    ``eta`` / ``zeta`` not arrays of N_t numbers.
+    """
     payload = read_json(source)
-    if payload["type"] == "rabinowitz":
-        return RabinowitzLoop(x=np.array(payload["x"], float), tau=float(payload["tau"]))
-    return ExtendedLoop(
-        x=np.array(payload["x"], float),
-        eta=np.array(payload["eta"], float),
-        zeta=np.array(payload["zeta"], float),
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"a loop file holds a JSON object, got {type(payload).__name__}")
+    kind = payload.get("type")
+    if kind not in ("rabinowitz", "extended"):
+        raise ValueError(f"loop field 'type' must be 'rabinowitz' or 'extended', got {kind!r}")
+    names = ("x", "tau") if kind == "rabinowitz" else ("x", "eta", "zeta")
+    values = {}
+    for name in names:
+        if name not in payload:
+            raise ValueError(f"{kind} loop has no field {name!r}")
+        try:
+            values[name] = float(payload[name]) if name == "tau" else np.array(payload[name], float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"loop field {name!r} is not numeric: {exc}") from None
+    x = values["x"]
+    if x.ndim != 2 or not x.size:
+        raise ValueError(f"loop field 'x' must be an (N_t, 2n) array, got shape {x.shape}")
+    if kind == "rabinowitz":
+        return RabinowitzLoop(**values)
+    for name in ("eta", "zeta"):
+        if values[name].shape != (len(x),):
+            raise ValueError(f"loop field {name!r} must hold N_t = {len(x)} numbers, "
+                             f"got shape {values[name].shape}")
+    return ExtendedLoop(**values)
 
 
 def diagnostics_to_csv(diags: FlowDiagnostics, file=None) -> str:

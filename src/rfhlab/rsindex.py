@@ -35,8 +35,9 @@ The scan takes one batched SVD and determinant of Gamma(t_k) - I over the
 samples, checks all plateau samples at once (their kernels from one more
 batched SVD), and makes one pass over the samples that emits candidates
 in time order: a singular end of the segment (an endpoint crossing); a
-sign change of det(Gamma - I), which a simple crossing always makes
-(bisected); and a dip, a sampled local minimum of the product of the
+sign change of det(Gamma - I) off plateaus, which a simple crossing
+always makes (bisected; on a plateau the determinant is rounding noise);
+and a dip, a sampled local minimum of the product of the
 singular values above the background (golden-section search).  One rule
 accepts a located time: it lies more than SEPARATION from the crossings
 found and the segment ends, and its singular value above the background
@@ -166,9 +167,15 @@ class SymplecticPath:
             constructor, which is what makes the crossing form equal to
             S on the kernel.
         generator: optional callable t -> S(t), symmetric.
-        evaluator: optional callable t -> Gamma(t) (closed form or ODE
-            dense output).  Without one, off-sample values come from
-            cubic interpolation of the samples.
+        evaluator: optional callable t -> Gamma(t), a closed form.
+        fields: with a generator, the stack (N, 2m, 2m) of J S(t_k) at
+            the sample times.  ``path_from_generator`` keeps the one it
+            integrated with; any other path computes it on first use.
+
+    Off-sample values come from the evaluator; without one, from cubic
+    Hermite interpolation on Gamma_k and Gamma'_k = J S(t_k) Gamma_k when
+    the path has a generator (error O(h^4), the order of RK4), else from
+    cubic interpolation of the four nearest samples.
     """
 
     def __init__(
@@ -193,6 +200,8 @@ class SymplecticPath:
         self.generator = generator
         self.evaluator = evaluator
         self.tol = float(tol)
+        self._fields = None
+        self._slopes = None
         self._validate()
 
     # -- construction checks -------------------------------------------------
@@ -237,20 +246,31 @@ class SymplecticPath:
         if self.evaluator is not None:
             return np.asarray(self.evaluator(t), float)
         if self.generator is not None:
-            return self._integrate_from_nearest(t)
+            return self._hermite(t)
         return self._interpolate(t)
 
-    def _integrate_from_nearest(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.ts, t, side="right") - 1)
-        i = min(max(i, 0), len(self.ts) - 1)
-        t0, m = float(self.ts[i]), self.mats[i].copy()
+    @property
+    def fields(self) -> np.ndarray:
+        """J S(t_k) at the sample times (needs a generator)."""
+        if self._fields is None:
+            if self.generator is None:
+                raise MissingGeneratorError("the path has no generator")
+            self._fields = _field_stack(self.generator, self.jmat, self.ts)
+        return self._fields
+
+    def _hermite(self, t: float) -> np.ndarray:
+        i = int(np.searchsorted(self.ts, t, side="right")) - 1
+        i = min(max(i, 0), len(self.ts) - 2)
+        t0 = float(self.ts[i])
         if t == t0:
-            return m
-        nsub = 8
-        h = (t - t0) / nsub
-        for k in range(nsub):
-            m = _rk4_step(self.jmat, self.generator, t0 + k * h, m, h)
-        return m
+            return self.mats[i].copy()
+        if self._slopes is None:
+            self._slopes = self.fields @ self.mats
+        h = float(self.ts[i + 1]) - t0
+        s = (t - t0) / h
+        s2, s3 = s * s, s * s * s
+        return ((2 * s3 - 3 * s2 + 1) * self.mats[i] + (3 * s2 - 2 * s3) * self.mats[i + 1]
+                + ((s3 - 2 * s2 + s) * h) * self._slopes[i] + ((s3 - s2) * h) * self._slopes[i + 1])
 
     def _interpolate(self, t: float) -> np.ndarray:
         # cubic Lagrange through the four nearest samples
@@ -282,15 +302,12 @@ class SymplecticPath:
         return len(self.ts)
 
 
-def _rk4_step(jmat, gen, t, m, h):
-    def f(tt, mm):
-        return jmat @ gen(tt) @ mm
-
-    k1 = f(t, m)
-    k2 = f(t + 0.5 * h, m + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, m + 0.5 * h * k2)
-    k4 = f(t + h, m + h * k3)
-    return m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _field_stack(gen, jmat: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """J S(t) at each of the times, from one call of ``gen`` per time with a float."""
+    out = np.empty((len(times),) + jmat.shape)
+    for i, t in enumerate(times.tolist()):
+        out[i] = gen(t)
+    return np.matmul(jmat, out, out=out)
 
 
 # -- crossing machinery -------------------------------------------------------
@@ -306,14 +323,6 @@ def _kernel_mask(svals: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _velocity(path: SymplecticPath, ts, mats) -> np.ndarray:
-    """Gamma' at the times ts, where Gamma takes the values mats: J S(t) Gamma(t)
-    with a generator, which needs no path evaluation, else differenced."""
-    if path.generator is None:
-        return np.array([path.derivative(t) for t in ts])
-    return path.jmat @ np.array([path.generator(float(t)) for t in ts]) @ np.asarray(mats)
-
-
 def _crossing(path: SymplecticPath, t: float, mat: np.ndarray, kind: str, background: int = 0) -> Crossing:
     """Crossing data at time t, where Gamma(t) = mat.
 
@@ -324,7 +333,9 @@ def _crossing(path: SymplecticPath, t: float, mat: np.ndarray, kind: str, backgr
     """
     _, svals, vt = np.linalg.svd(mat - np.eye(path.dim))
     kernel = vt[_kernel_mask(svals)].T
-    dgamma = _velocity(path, [t], [mat])[0]
+    # Gamma'(t) = J S(t) Gamma(t) needs no path evaluation
+    dgamma = (path.derivative(t) if path.generator is None
+              else path.jmat @ path.generator(float(t)) @ mat)
     form = SymmetricForm(kernel.T @ dgamma.T @ path.form @ kernel)
     fscale = max(1.0, float(np.max(np.abs(form.entries))))
     evals = np.linalg.eigvalsh(form.entries) if form.k else np.zeros(0)
@@ -349,7 +360,10 @@ def _check_plateaus(path, ts, mats, kdims, background) -> None:
     if not idx.size:
         return
     _, svals, vt = np.linalg.svd(mats[idx] - np.eye(path.dim))
-    dgamma = _velocity(path, ts[idx], mats[idx])
+    if path.generator is None:
+        dgamma = np.array([path.derivative(t) for t in ts[idx]])
+    else:  # interior samples of a segment are samples of the path
+        dgamma = path.fields[np.searchsorted(path.ts, ts[idx])] @ mats[idx]
     forms = np.einsum("nij,nkj,kl,nml->nim", vt, dgamma, path.form, vt, optimize=True)
     mask = _kernel_mask(svals)
     worst = np.max(np.abs(forms) * (mask[:, :, None] & mask[:, None, :]), axis=(1, 2))
@@ -462,19 +476,19 @@ def _segment_detailed(path, a, b):
     # candidates (see the module docstring).  A sample next to a plateau is
     # no dip, and a plateau's edge is not bounded by the sample outside it;
     # a sample next to a sign change leaves its crossing to the bisection;
-    # an end is a dip only when the product falls into it and is already
-    # small there
+    # a regular end is a dip only when the product falls into it and is
+    # already small there (``low_end``)
     ends = np.isin(np.arange(n), (0, n - 1))
     endpoint = ends & (kdims > 0)
-    flips = np.append(det[:-1] * det[1:] < 0, False)
+    low_end = ends & ~endpoint & (product <= 0.05 * np.max(product))
     bg0, bg1 = background[:-1], background[1:]
+    flips = np.append((det[:-1] * det[1:] < 0) & (bg0 == 0) & (bg1 == 0), False)
     rise = np.diff(product)
     dips = (
         np.append((bg0 > bg1) | ((bg0 == bg1) & (rise >= 0)), True)
         & np.insert((bg1 > bg0) | ((bg0 == bg1) & (rise <= 0)), 0, True)
         & ~flips & ~np.insert(flips[:-1], 0, False)
-        & (background < dim) & ~endpoint
-        & (~ends | (product <= 0.05 * np.max(product)))
+        & (background < dim) & (~ends | low_end)
     )
 
     crossings: list[Crossing] = []
@@ -500,15 +514,21 @@ def _segment_detailed(path, a, b):
         taken.append(t)
         halves += 2 * c.sig
         # a crossing within a few samples of this one can share its sampled
-        # dip; with this one's factor |t - t*|^d divided out it shows its own
+        # dip; with this one's factor |t - t*|^d divided out it shows its own.
+        # A low end is bounded by its one neighbour, for a crossing that
+        # shares the end interval
         d = c.kernel_basis.shape[1] - bg
         k = int(np.searchsorted(ts, t))
         near = np.arange(max(k - 4, 0), min(k + 4, n))
         with np.errstate(divide="ignore", invalid="ignore"):
             rest = product[near] / np.abs(ts[near] - t) ** d
-        for i in range(1, len(near) - 1):
-            if rest[i] <= min(rest[i - 1], rest[i + 1]) and background[near[i]] == bg:
-                accept(ts[near[i - 1]], ts[near[i + 1]], bg, divide=(t, d))
+        last = len(near) - 1
+        for i in range(last + 1):
+            if (i in (0, last) and not low_end[near[i]]) or background[near[i]] != bg:
+                continue
+            i0, i1 = max(i - 1, 0), min(i + 1, last)
+            if rest[i] <= min(rest[i0], rest[i1]):
+                accept(ts[near[i0]], ts[near[i1]], bg, divide=(t, d))
 
     for k in np.flatnonzero(endpoint | dips | flips):
         if endpoint[k]:
@@ -564,7 +584,7 @@ def theta_path(tau: float, hp: float, hpp: float, n_samples: int = 257) -> Sympl
         return np.eye(4) + t * nmat
 
     ts = np.linspace(0.0, 1.0, n_samples)
-    mats = np.array([evaluate(t) for t in ts])
+    mats = np.eye(4) + ts[:, None, None] * nmat
     return SymplecticPath(
         ts, mats, form=form, generator=lambda t: cmat, evaluator=evaluate, tol=1e-10
     )
@@ -579,7 +599,9 @@ def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
         return np.cos(angle * t) * eye + np.sin(angle * t) * jmat
 
     ts = np.linspace(0.0, 1.0, n_samples)
-    mats = np.array([evaluate(t) for t in ts])
+    angles = angle * ts[:, None, None]
+    mats = np.cos(angles) * eye
+    mats += np.sin(angles) * jmat
     gen = angle * eye
     return SymplecticPath(
         ts, mats, generator=lambda t: gen, evaluator=evaluate, tol=1e-9
@@ -595,22 +617,42 @@ def path_from_generator(
 ) -> SymplecticPath:
     """Integrate Gamma' = J S(t) Gamma, Gamma(0) = I by fixed-step RK4.
 
+    ``gen`` is called once at each of the 2 n_steps + 1 step and midpoint
+    times, always with a float.  The equation is linear, so RK4 step k is
+    a propagator P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) that depends on
+    J S at the step's start, midpoint and end alone; the propagators come
+    from batched products and Gamma_{k+1} = P_k Gamma_k.  The path keeps
+    the stack of J S(t_k) at its samples (``fields``), so its off-sample
+    values, cubic Hermite on Gamma_k and Gamma'_k, call ``gen`` no more.
+
     Raises ValueError if the integrated samples lose the symplectic
     condition beyond ``tol`` (reduce the step by raising n_steps).
     """
     jmat = standard_jmat(dim // 2) if form is None else np.asarray(form, float)
     h = 1.0 / n_steps
+    fields = _field_stack(gen, jmat, np.linspace(0.0, 1.0, 2 * n_steps + 1))
+    start, mid, end = fields[:-1:2], fields[1::2], fields[2::2]
+    k = mid + (0.5 * h) * (mid @ start)  # K2
+    steps = start + 2 * k
+    k = mid + (0.5 * h) * (mid @ k)  # K3
+    steps += 2 * k
+    steps += end + h * (end @ k)  # K4
+    steps *= h / 6.0
+    steps += np.eye(dim)
     mats = np.empty((n_steps + 1, dim, dim))
     mats[0] = np.eye(dim)
-    m = mats[0].copy()
     for k in range(n_steps):
-        m = _rk4_step(jmat, gen, k * h, m, h)
-        mats[k + 1] = m
+        np.matmul(steps[k], mats[k], out=mats[k + 1])
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     try:
-        return SymplecticPath(ts, mats, form=jmat, generator=gen, tol=tol)
+        path = SymplecticPath(ts, mats, form=jmat, tol=tol)
     except ValueError as exc:
         raise ValueError(f"integration lost symplecticity: {exc}; raise n_steps") from exc
+    # attached after construction: the samples solve Gamma' = J S Gamma by
+    # construction, so the constructor's spot check, one more call of gen,
+    # has nothing to test
+    path.generator, path._fields = gen, fields[::2].copy()
+    return path
 
 
 def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> SymplecticPath:
@@ -706,7 +748,8 @@ def save_path_csv(path: SymplecticPath, file) -> None:
     d = path.dim
     header = ",".join(["t"] + [f"m{i}{j}" for i in range(d) for j in range(d)])
     rows = np.column_stack([path.ts, path.mats.reshape(len(path.ts), d * d)])
-    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in rows]
+    template = ",".join(["%.17g"] * (d * d + 1))
+    lines = [header] + [template % tuple(row.tolist()) for row in rows]
     write_text(file, "\n".join(lines) + "\n")
 
 

@@ -135,6 +135,26 @@ def test_bad_numbers_exit_two_naming_the_flag(tmp_path, capsys, argv, named):
     assert "configuration error" in err and named in err
 
 
+@pytest.mark.parametrize("payload, named", [
+    ('{"x": [[1, 0], [0, 1]]}', "field 'type'"),
+    ('{"type": "fixed", "x": [[1, 0], [0, 1]]}', "field 'type'"),
+    ('{"type": "rabinowitz", "x": [[1, 0], [0, 1]]}', "field 'tau'"),
+    ("[1]", "JSON object"),
+    ('{"type": "rabinowitz", "x": [[1, 0], [0, 1]], "tau": [1]}', "field 'tau'"),
+    ('{"type": "rabinowitz", "x": [[1, 0], [0]], "tau": 1}', "field 'x'"),
+    ('{"type": "rabinowitz", "x": [1, 0], "tau": 1}', "field 'x'"),
+    ('{"type": "extended", "x": [[1, 0], [0, 1]], "zeta": [0, 0]}', "field 'eta'"),
+    ('{"type": "extended", "x": [[1, 0], [0, 1]], "eta": [0], "zeta": [0, 0]}', "field 'eta'"),
+    ('{"type": "extended", "x": [[1, 0], [0, 1]], "eta": [0, 0], "zeta": "a"}', "field 'zeta'"),
+])
+def test_malformed_loop_file_exits_two_naming_the_field(tmp_path, capsys, payload, named):
+    loop = tmp_path / "loop.json"
+    loop.write_text(payload)
+    assert run(["flow", "--loop", str(loop), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
 def test_index_arithmetic_error_exits_four(monkeypatch, capsys):
     from rfhlab import grading
     from rfhlab.rsindex import HalfInteger

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfhlab.rsindex import (
@@ -229,6 +229,19 @@ def test_csv_roundtrip_nonstandard_form():
     assert rs_index(q).twice_value == 0
 
 
+def test_csv_writes_each_entry_as_format_17g():
+    p = rotation_path(1, 1.0, n_samples=3)
+    p.mats[1].flat[:] = [np.nan, np.inf, -np.inf, -0.0]
+    p.mats[2].flat[:] = [5e-324, 1 / 3, -2.5e-310, 0.1]
+    buf = io.StringIO()
+    save_path_csv(p, buf)
+    rows = [",".join(format(x, ".17g") for x in [t, *m.ravel()]) for t, m in zip(p.ts, p.mats)]
+    assert buf.getvalue() == "\n".join(["t,m00,m01,m10,m11", *rows]) + "\n"
+    r = rotation_path(3, 7.3, n_samples=2049)
+    q = _csv_copy(r)
+    assert q.ts.tobytes() == r.ts.tobytes() and q.mats.tobytes() == r.mats.tobytes()
+
+
 def _touching_rotation(n_steps=1024):
     # angle 8*pi*t*(1-t) touches 2*pi at t = 1/2 with zero speed: the
     # interior crossing there has a full 2-dim kernel and an identically
@@ -439,3 +452,213 @@ def test_rotation_index_closed_form_through_csv(m, size, negative):
 @pytest.mark.parametrize("angle", [1e-8, 1e-7, 1e-6, -1e-6, 4e-6])
 def test_slow_rotation_index_is_its_sign(angle):
     assert rs_index(rotation_path(1, angle)) == HalfInteger.whole(int(np.sign(angle)))
+
+
+# -- the propagator engine of path_from_generator ------------------------------------
+
+
+def _rk4_rotation_error(angle, n_steps):
+    # RK4 turns each step of a rotation by ah - (ah)^5/120 + ..., so after
+    # n steps the phase is off by |a| (|a| h)^4 / 120
+    return abs(angle) * (abs(angle) / n_steps) ** 4 / 120
+
+
+@pytest.mark.parametrize("m, angle", [(1, 4.0), (2, -9.0), (3, 2 * np.pi)])
+def test_constant_generator_matches_rotation_samples(m, angle):
+    n = 512
+    p = path_from_generator(lambda t: angle * np.eye(2 * m), 2 * m, n_steps=n)
+    q = rotation_path(m, angle, n_samples=n + 1)
+    assert np.array_equal(p.ts, q.ts)
+    assert np.max(np.abs(p.mats - q.mats)) <= 1.5 * _rk4_rotation_error(angle, n) + 1e-13
+
+
+def _quadratic_turn(t):
+    # the angle 3 t^2 has the time-dependent generator S(t) = 6 t I
+    th = 3.0 * t * t
+    return np.cos(th) * np.eye(2) + np.sin(th) * np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_time_dependent_generator_converges_at_fourth_order():
+    errors = []
+    for n in (256, 512):
+        p = path_from_generator(lambda t: 6.0 * t * np.eye(2), 2, n_steps=n)
+        errors.append(max(np.max(np.abs(p.mats[k] - _quadratic_turn(t))) for k, t in enumerate(p.ts)))
+    assert errors[1] < 1e-9
+    assert 12 < errors[0] / errors[1] < 20
+
+
+def test_generator_is_called_once_per_step_and_midpoint_with_floats():
+    calls = []
+
+    def gen(t):
+        calls.append(t)
+        return 2.0 * t * np.eye(2)
+
+    n = 64
+    p = path_from_generator(gen, 2, n_steps=n)
+    assert len(calls) == 2 * n + 1
+    assert all(type(t) is float for t in calls)
+    assert calls == np.linspace(0.0, 1.0, 2 * n + 1).tolist()
+    p.at(0.3)  # off-sample values come from the kept stack
+    assert len(calls) == 2 * n + 1
+
+
+def test_hermite_dense_output_is_fourth_order():
+    angle = 5.0
+    errors = []
+    for n in (256, 512):
+        p = path_from_generator(lambda t: angle * np.eye(2), 2, n_steps=n)
+        q = rotation_path(1, angle)
+        offgrid = (np.arange(n) + 0.37) / n
+        errors.append(max(np.max(np.abs(p.at(t) - q.evaluator(t))) for t in offgrid))
+    assert errors[1] < 1e-9
+    assert 12 < errors[0] / errors[1] < 20
+
+
+def test_generator_path_without_stack_computes_it_once():
+    n = 256
+    ref = rotation_path(1, 3.0, n_samples=n + 1)
+    calls = []
+
+    def gen(t):
+        calls.append(t)
+        return 3.0 * np.eye(2)
+
+    p = SymplecticPath(ref.ts, ref.mats, generator=gen)
+    built = len(calls)
+    assert np.array_equal(p.at(float(ref.ts[7])), ref.mats[7])
+    assert len(calls) == built
+    for t in (0.1234, 0.5678):
+        assert np.max(np.abs(p.at(t) - ref.evaluator(t))) < 1e-10
+    assert len(calls) == built + n + 1
+
+
+def test_perturbed_path_builds_through_the_module_global(monkeypatch):
+    from rfhlab import rsindex
+
+    seen = []
+    build = rsindex.path_from_generator
+
+    def spy(gen, *args, **kwargs):
+        seen.append(kwargs.get("n_steps"))
+        return build(gen, *args, **kwargs)
+
+    monkeypatch.setattr(rsindex, "path_from_generator", spy)
+    p = perturbed_path(theta_path(1.0, 1.0, 1.0), 1e-3)
+    assert seen == [2048] and p.n_samples == 2049
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), angle=st.floats(-20.0, 20.0), n=st.integers(257, 1100))
+def test_rotation_samples_equal_the_evaluator_bitwise(m, angle, n):
+    p = rotation_path(m, angle, n_samples=n)
+    assert p.mats.tobytes() == np.array([p.evaluator(t) for t in p.ts]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(-10.0, 10.0), hp=st.floats(0.1, 5.0), hpp=st.floats(0.1, 5.0),
+       sign=st.sampled_from([-1.0, 1.0]), n=st.integers(3, 400))
+def test_theta_samples_equal_the_evaluator_bitwise(tau, hp, hpp, sign, n):
+    p = theta_path(tau, hp, sign * hpp, n_samples=n)
+    assert p.mats.tobytes() == np.array([p.evaluator(t) for t in p.ts]).tobytes()
+
+
+# -- properties of the index through the propagator constructor, against the
+# closed forms of rotation_path and theta_path -------------------------------------
+
+
+closed_forms = st.one_of(
+    st.tuples(st.just("rotation"), st.sampled_from([1, 2]), st.floats(0.05, 3 * TWO_PI),
+              st.booleans()),
+    st.tuples(st.just("theta"), st.floats(-6.0, 6.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+              st.booleans()),
+)
+
+
+def _closed_form(block, build):
+    """A rotation or theta block as ``build`` makes it, and twice its closed-form index.
+
+    ``build`` is "closed" for the constructors themselves, else the number
+    of steps with which path_from_generator integrates their generator.
+    """
+    if block[0] == "rotation":
+        _, m, size, negative = block
+        assume(abs(size - TWO_PI * round(size / TWO_PI)) > 1e-3)
+        angle = -size if negative else size
+        path = rotation_path(m, angle)
+        twice = 2 * _rotation_index(m, angle)
+    else:
+        _, tau, hp, hpp, negative = block
+        path = theta_path(tau, hp, -hpp if negative else hpp)
+        twice = 0
+    if build != "closed":
+        path = path_from_generator(path.generator, path.dim, form=path.jmat, n_steps=build)
+    return path, twice
+
+
+@settings(max_examples=20, deadline=None)
+@example(blocks=[("turns", 1, 1), ("turns", 1, 2)], sign=-1)  # both crossings in the end interval
+@given(
+    blocks=st.lists(st.one_of(
+        closed_forms,
+        st.tuples(st.just("turns"), st.sampled_from([1, 2]), st.sampled_from([-2, -1, 1, 2])),
+    ), min_size=1, max_size=2),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_perturbation_shift_is_minus_sign_delta_times_half_the_end_kernel(blocks, sign):
+    # S - delta I moves the index by -sgn(delta) dim ker(Gamma(1) - I) / 2: a
+    # full turn ends on the identity (kernel 2m), theta has a kernel of 2
+    # everywhere, any other rotation ends off the identity
+    parts, kernel = [], 0
+    for block in blocks:
+        if block[0] == "turns":
+            _, m, k = block
+            parts.append((rotation_path(m, k * TWO_PI), 4 * k * m))
+            kernel += 2 * m
+        else:
+            parts.append(_closed_form(block, "closed"))
+            kernel += 2 if block[0] == "theta" else 0
+    joint = parts[0][0] if len(parts) == 1 else block_diag(parts[0][0], parts[1][0])
+    twice = sum(t for _, t in parts)
+    assert rs_index(joint).twice_value == twice
+    assert rs_index(perturbed_path(joint, sign * 1e-3)).twice_value == twice - sign * kernel
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=closed_forms)
+def test_block_additivity_of_generator_paths(seed, block):
+    # on 1024 steps the dense output of the fastest drawn turn is off the
+    # circle by about (a h)^4 / 384 = 3e-10, well below CROSS_TOL
+    closed, twice = _closed_form(block, 1024)
+    assert rs_index(closed).twice_value == twice
+    rng = np.random.default_rng(seed)
+    a, b = random_symmetric(2, rng, 1.0), random_symmetric(2, rng, 1.0)
+    phase = float(rng.uniform(0, TWO_PI))
+    free = path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase) * b, 2, n_steps=1024)
+    try:
+        alone = rs_index(free)
+        joint = rs_index(block_diag(free, closed))
+    except (IrregularCrossingError, ResolutionError):
+        assume(False)
+    assert joint.twice_value == alone.twice_value + twice
+
+
+def _theta_frame():
+    # E with E^T J_2 E = theta_form(): reorder (x1, x2, y1, y2) as
+    # (x1, y1, x2, y2), then reverse the last coordinate
+    e = np.zeros((4, 4))
+    e[[0, 2, 1, 3], [0, 1, 2, 3]] = [1.0, 1.0, 1.0, -1.0]
+    return e
+
+
+@settings(max_examples=25, deadline=None)
+@example(seed=666515812, block=("theta", 1.0, 0.875, 2.0, False), scale=1 / 3)  # det noise on a plateau
+@given(seed=st.integers(0, 2**32 - 1), block=closed_forms, scale=st.floats(0.1, 0.8))
+def test_conjugation_invariance_of_generator_paths(seed, block, scale):
+    path, twice = _closed_form(block, 768)
+    psi = random_symplectic(path.dim // 2, np.random.default_rng(seed), scale)
+    if block[0] == "theta":
+        frame = _theta_frame()
+        psi = np.linalg.inv(frame) @ psi @ frame
+    assert rs_index(path).twice_value == twice
+    assert rs_index(conjugate_path(path, psi)).twice_value == twice
