@@ -17,6 +17,12 @@ def write_text(file, text: str) -> str:
     return text
 
 
+def write_json(file, payload) -> str:
+    """Write ``payload`` as sorted-key JSON, indented by 2 and ending in a
+    newline, to ``file`` under the rules of ``write_text``; return the text."""
+    return write_text(file, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def read_text(file) -> str:
     """The whole text of ``file``: a path (opened and closed here) or an
     open text handle."""

@@ -8,7 +8,6 @@ files built from them are byte-stable for a fixed seed).
 from __future__ import annotations
 
 import filecmp
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from . import hybrid as hy
 from . import model as mo
 from . import rsindex as rsi
 from . import z2complex as z2
-from ._files import write_text
+from ._files import write_json, write_text
 from .rsindex import HalfInteger
 from .symlin import random_symmetric
 
@@ -453,5 +452,5 @@ def write_artifacts(results, out_dir: str, seed: int) -> list[str]:
             for r in results
         ],
     }
-    write_text(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(json_path, payload)
     return [csv_path, json_path]

@@ -10,7 +10,6 @@ a header row, '.' decimals, and LF line endings, JSON is sorted-key.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -23,7 +22,7 @@ from . import hybrid as hy
 from . import model as mo
 from . import rsindex as rsi
 from . import z2complex as z2
-from ._files import write_text
+from ._files import write_json, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,8 +106,9 @@ def _load_model(path: str | None, n: int) -> mo.ModelSystem:
     return mo.make_model(n=n)
 
 
-def _write_text(path: str | None, text: str):
-    write_text(path or sys.stdout, text)
+def _out(args):
+    """Where a subcommand writes its output: --out, else stdout."""
+    return args.out or sys.stdout
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -131,13 +131,11 @@ def _cmd_index(args) -> int:
     print(f"mu_rs = {value}")
     if args.out:
         if args.format == "json":
-            _write_text(args.out, json.dumps(
-                {"mu_rs": str(value), "twice_value": value.twice_value,
-                 "seed": args.seed},
-                sort_keys=True, indent=2) + "\n")
+            write_json(args.out, {"mu_rs": str(value), "twice_value": value.twice_value,
+                                  "seed": args.seed})
         else:
-            _write_text(args.out, "mu_rs,twice_value,seed\n"
-                        f"{value},{value.twice_value},{args.seed}\n")
+            write_text(args.out, "mu_rs,twice_value,seed\n"
+                       f"{value},{value.twice_value},{args.seed}\n")
     return EXIT_OK
 
 
@@ -146,7 +144,7 @@ def _cmd_grade(args) -> int:
         comps = gr.model_components(_load_model(args.model, args.n), ks=())
         print(f"mu(K) = {gr.mu_K(comps[0])}")
         if args.out:
-            _write_text(args.out, gr.index_report_csv(comps))
+            write_text(args.out, gr.index_report_csv(comps))
         return EXIT_OK
     if args.components:
         comps = gr.components_from_json(args.components)
@@ -158,26 +156,26 @@ def _cmd_grade(args) -> int:
     if args.format == "json":
         rows = [line.split(",") for line in report.strip().splitlines()]
         head, data = rows[0], rows[1:]
-        payload = {"seed": args.seed,
-                   "components": [dict(zip(head, r)) for r in data]}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        write_json(_out(args), {"seed": args.seed,
+                                "components": [dict(zip(head, r)) for r in data]})
     else:
-        text = report
-    _write_text(args.out, text)
+        write_text(_out(args), report)
     return EXIT_OK
 
 
-def _build_start(sy, args):
+def _build_start(sy, args, flavor: str):
+    """The start loop of ``flavor`` (extended or rabinowitz) that --start,
+    --k, --nt, --sigma, --amplitude, --cutoff and --seed describe."""
     nt = args.nt
     rng = np.random.default_rng(args.seed)
     if args.start == "orbit":
         base = gf.discrete_orbit_loop(sy, args.k, nt)
     else:
         base = gf.discrete_constant_loop(sy, nt=nt)
-    if args.flavor == "extended":
+    if flavor == "extended":
         base = gf.lift_loop(base, sigma=args.sigma)
     if args.amplitude > 0:
-        rate_min = 2.0 if (args.flavor == "extended" or args.start == "constants") else 0.5
+        rate_min = 2.0 if (flavor == "extended" or args.start == "constants") else 0.5
         base = gf.stable_perturbation(
             sy, base, rng, kmax=args.cutoff, amplitude=args.amplitude, rate_min=rate_min,
         )
@@ -192,24 +190,28 @@ def _cmd_flow(args) -> int:
         if dim != 2 * sy.n:
             raise ConfigError(f"--loop holds a loop of dimension {dim}, but the model has "
                               f"--n {sy.n}, dimension {2 * sy.n}")
+        if start.nt < 2 * args.cutoff + 2:
+            raise ConfigError(f"--loop holds a loop of N_t = {start.nt} samples, but --cutoff "
+                              f"{args.cutoff} needs at least 2 * cutoff + 2 = "
+                              f"{2 * args.cutoff + 2}")
     else:
-        start = _build_start(sy, args)
+        start = _build_start(sy, args, args.flavor)
     controls = gf.IntegrateControls(
         eps_stop=args.tol, max_steps=args.steps, freq_cutoff=args.cutoff,
     )
     loop, diags = gf.integrate(sy, start, controls)
-    out_text = gf.diagnostics_to_csv(diags)
+    text = gf.diagnostics_to_csv(diags)
     if args.format == "json":
-        payload = {
+        write_json(_out(args), {
             "seed": args.seed,
             "converged": diags.converged, "stop_reason": diags.stop_reason,
             "target_component": diags.target_component,
             "action_start": diags.action_start, "action_end": diags.action_end,
             "energy_total": diags.energy_total,
             "energy_identity_residual": diags.energy_identity_residual,
-        }
-        out_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, out_text)
+        })
+    else:
+        write_text(_out(args), text)
     if args.snapshot:
         gf.loop_to_json(loop, args.snapshot)
     print(f"flow: converged={diags.converged} target={diags.target_component} "
@@ -223,24 +225,14 @@ def _cmd_flow(args) -> int:
 
 def _cmd_hybrid(args) -> int:
     sy = _load_model(args.model, args.n)
-    rng = np.random.default_rng(args.seed)
-    nt = args.nt
-    if args.start == "orbit":
-        base = gf.discrete_orbit_loop(sy, args.k, nt)
-        rate_min = 0.5
-    else:
-        base = gf.discrete_constant_loop(sy, nt=nt)
-        rate_min = 2.0
-    if args.amplitude > 0:
-        base = gf.stable_perturbation(sy, base, rng, kmax=args.cutoff,
-                                      amplitude=args.amplitude, rate_min=rate_min)
+    base = _build_start(sy, args, "rabinowitz")
     controls = hy.HybridControls(horizon=args.horizon, freq_cutoff=args.cutoff,
                                  max_steps=args.steps)
     state = hy.initial_hybrid_state(sy, base, sigma=args.sigma)
     out, diags = hy.hybrid_relax(sy, state, controls)
     text = hy.hybrid_diagnostics_to_csv(out)
     if args.format == "json":
-        payload = {
+        write_json(_out(args), {
             "seed": args.seed,
             "converged": diags.converged, "sweeps": diags.sweeps,
             "horizon": diags.horizon,
@@ -248,9 +240,9 @@ def _cmd_hybrid(args) -> int:
             "energy_identity_residual": diags.energy_identity_residual,
             "mid_action_residual": diags.mid_action_residual,
             "action_chain_ok": diags.action_chain_ok,
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, text)
+        })
+    else:
+        write_text(_out(args), text)
     print(f"hybrid: converged={diags.converged} sweeps={diags.sweeps} "
           f"energy={diags.energy_minus + diags.energy_plus:.6g}")
     if diags.budget_exhausted:
@@ -290,9 +282,9 @@ def _cmd_complex(args) -> int:
             print("invariant violated: chain map failed to invert", file=sys.stderr)
             return EXIT_INVARIANT
     if args.format == "json":
-        payload = {"betti": {str(k): v for k, v in ranks.items()}, "seed": args.seed}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(args.out, text)
+        write_json(_out(args), {"betti": {str(k): v for k, v in ranks.items()}, "seed": args.seed})
+    else:
+        write_text(_out(args), text)
     return EXIT_OK
 
 

@@ -12,6 +12,14 @@ where J is the model's compatible structure (-J_n).  Time stepping is
 explicit Euler with Armijo backtracking on the action; one kernel takes
 every step, for ``integrate`` and for the half-runs of ``hybrid``.
 
+Both states, and their gradients, are tuples of parts: (x, tau) and
+(x, eta, zeta).  The two kinds differ only in which parts are loops.
+Loop-shaped parts are arrays over the N_t samples; the L2 metric weighs
+them by 1/N_t and the flow projects them to its Fourier cutoff.  Scalar
+parts (tau) weigh 1 and are never projected.  The step, the metric, the
+projection and the reduced-basis coordinates follow this rule alone; only
+the actions, the gradients and the diagnostics read a kind's meaning.
+
 Both action functionals are strongly indefinite: the linearized flow has
 growth rates of both signs up to the grid frequency, so the unfiltered
 initial value problem amplifies rounding noise at rate O(N_t) and no
@@ -38,7 +46,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -81,29 +91,34 @@ class DivergenceError(RuntimeError):
     """The flow produced non-finite values."""
 
 
+class _Loop:
+    """A loop state as the tuple of its parts, in field order: loop-shaped
+    parts are arrays over the N_t samples, scalar parts are floats."""
+
+    @property
+    def parts(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def nt(self) -> int:
+        return self.x.shape[0]
+
+
 @dataclass(frozen=True)
-class RabinowitzLoop:
+class RabinowitzLoop(_Loop):
     """Free-period state: loop samples x (N_t, 2n) and the multiplier tau."""
 
     x: np.ndarray
     tau: float
 
-    @property
-    def nt(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
-class ExtendedLoop:
+class ExtendedLoop(_Loop):
     """Fixed-period state: loop samples x (N_t, 2n), eta (N_t,), zeta (N_t,)."""
 
     x: np.ndarray
     eta: np.ndarray
     zeta: np.ndarray
-
-    @property
-    def nt(self) -> int:
-        return self.x.shape[0]
 
     @property
     def zeta_avg(self) -> float:
@@ -178,67 +193,43 @@ def gradient_extended(sys: ModelSystem, loop: ExtendedLoop):
     return gx, geta, gzeta
 
 
-def grad_norm(g, nt: int) -> float:
-    """Discrete L2 norm of a gradient tuple (loop parts weighted by dt)."""
-    if len(g) == 2:  # rabinowitz: (field, scalar)
-        gx, gtau = g
-        return math.sqrt(float(np.sum(gx * gx)) / nt + gtau * gtau)
-    gx, geta, gzeta = g
-    return math.sqrt(
-        (float(np.sum(gx * gx)) + float(np.sum(geta * geta)) + float(np.sum(gzeta * gzeta))) / nt
-    )
+# -- the parts rule ----------------------------------------------------------------
 
 
 def _g_inner(g1, g2, nt: int) -> float:
-    if len(g1) == 2:
-        return float(np.sum(g1[0] * g2[0])) / nt + g1[1] * g2[1]
-    return (
-        float(np.sum(g1[0] * g2[0]))
-        + float(np.sum(g1[1] * g2[1]))
-        + float(np.sum(g1[2] * g2[2]))
-    ) / nt
+    """L2 inner product of two part tuples: the loop parts' sums, added left
+    to right, over N_t, plus the products of the scalar parts."""
+    pairs = list(zip(g1, g2))
+    loops = reduce(operator.add, [float(np.sum(a * b)) for a, b in pairs if np.ndim(a)])
+    return reduce(operator.add, [a * b for a, b in pairs if not np.ndim(a)], loops / nt)
 
 
-def _project_gradient(g, kmax: int):
-    if len(g) == 2:
-        return (fourier_project(g[0], kmax), g[1])
-    return tuple(fourier_project(a, kmax) for a in g)
+def grad_norm(g, nt: int) -> float:
+    """Discrete L2 norm of a gradient tuple (loop parts weighted by dt)."""
+    return math.sqrt(_g_inner(g, g, nt))
+
+
+def _project(parts, kmax: int) -> tuple:
+    """The loop parts cut to the modes |k| <= kmax; scalar parts as they are."""
+    return tuple(fourier_project(a, kmax) if np.ndim(a) else a for a in parts)
 
 
 def _apply_step(loop, g, ds: float):
-    if isinstance(loop, RabinowitzLoop):
-        return RabinowitzLoop(x=loop.x - ds * g[0], tau=loop.tau - ds * g[1])
-    return ExtendedLoop(
-        x=loop.x - ds * g[0], eta=loop.eta - ds * g[1], zeta=loop.zeta - ds * g[2]
-    )
+    return type(loop)(*(p - ds * d for p, d in zip(loop.parts, g)))
+
+
+# the functional of each loop kind, looked up in module-level dicts so that
+# a wrapper installed in this module's namespace also wraps these calls
+_ACTION = {RabinowitzLoop: action_rabinowitz, ExtendedLoop: action_extended}
+_GRADIENT = {RabinowitzLoop: gradient_rabinowitz, ExtendedLoop: gradient_extended}
 
 
 def _action(sys, loop) -> float:
-    if isinstance(loop, RabinowitzLoop):
-        return action_rabinowitz(sys, loop)
-    return action_extended(sys, loop)
+    return _ACTION[type(loop)](sys, loop)
 
 
 def _gradient(sys, loop):
-    if isinstance(loop, RabinowitzLoop):
-        return gradient_rabinowitz(sys, loop)
-    return gradient_extended(sys, loop)
-
-
-def _project_loop(loop, kmax: int):
-    if isinstance(loop, RabinowitzLoop):
-        return RabinowitzLoop(x=fourier_project(loop.x, kmax), tau=loop.tau)
-    return ExtendedLoop(
-        x=fourier_project(loop.x, kmax),
-        eta=fourier_project(loop.eta, kmax),
-        zeta=fourier_project(loop.zeta, kmax),
-    )
-
-
-def _parts(loop):
-    if isinstance(loop, RabinowitzLoop):
-        return (loop.x, loop.tau)
-    return (loop.x, loop.eta, loop.zeta)
+    return _GRADIENT[type(loop)](sys, loop)
 
 
 # -- descent kernel ----------------------------------------------------------------
@@ -255,12 +246,14 @@ GROW = 1.3
 
 @dataclass
 class _Descent:
-    """A descent run so far: the current loop with its action and full
-    gradient, the flow time, the cumulative energy and the step count."""
+    """A descent run so far: the current loop with its action, full
+    gradient and that gradient's norm, the flow time, the cumulative
+    energy and the step count."""
 
     loop: object
     action: float
     grad: tuple
+    norm: float
     s: float = 0.0
     energy: float = 0.0
     steps: int = 0
@@ -271,34 +264,35 @@ def _descend(sys, loop, kmax, stop, on_step, max_steps, ds_max=DS_MAX, horizon=N
     modes |k| <= kmax, with Armijo backtracking on the action.
 
     ``on_step(state, prev, ds)`` sees the start (prev None, ds 0) and each
-    accepted step.  Before a step the full gradient norm is tested, and
-    ``stop(norm)`` ends the run with (state, True).  The run also ends,
-    with (state, False), after ``max_steps`` steps or at flow time
-    ``horizon``, which clips the last step.  The energy is the trapezoidal
+    accepted step.  Each state's full gradient norm is computed once, as
+    ``state.norm``; before a step ``stop(state.norm)`` ends the run with
+    (state, True).  The run also ends, with (state, False), after
+    ``max_steps`` steps or at flow time ``horizon``, which clips the last
+    step.  The energy is the trapezoidal
     quadrature of <grad, -velocity> along each accepted chord.
 
     Raises DivergenceError on a non-finite action or gradient or an action
     beyond 1e100, StepSizeError if no step down to DS_MIN decreases it.
     """
-    st = _Descent(loop, _action(sys, loop), _gradient(sys, loop))
     nt = loop.nt
-    g_flow = _project_gradient(st.grad, kmax)
+    grad = _gradient(sys, loop)
+    st = _Descent(loop, _action(sys, loop), grad, grad_norm(grad, nt))
+    g_flow = _project(st.grad, kmax)
     on_step(st, None, 0.0)
     ds = DS0
     while st.steps < max_steps and (horizon is None or st.s < horizon):
-        full_norm = grad_norm(st.grad, nt)
-        if not (np.isfinite(full_norm) and np.isfinite(st.action)) or abs(st.action) > 1e100:
+        if not (np.isfinite(st.norm) and np.isfinite(st.action)) or abs(st.action) > 1e100:
             raise DivergenceError(
-                f"flow diverged (action {st.action:.3e}, gradient {full_norm:.3e})"
+                f"flow diverged (action {st.action:.3e}, gradient {st.norm:.3e})"
             )
-        if stop(full_norm):
+        if stop(st.norm):
             return st, True
         flow_sq = _g_inner(g_flow, g_flow, nt)
         while True:
             if ds < DS_MIN:
                 raise StepSizeError(
                     f"no action decrease at minimum step {DS_MIN:g} "
-                    f"(action {st.action:.12g}, grad {full_norm:.3e})"
+                    f"(action {st.action:.12g}, grad {st.norm:.3e})"
                 )
             step = ds if horizon is None else min(ds, horizon - st.s)
             cand = _apply_step(st.loop, g_flow, step)
@@ -310,12 +304,13 @@ def _descend(sys, loop, kmax, stop, on_step, max_steps, ds_max=DS_MAX, horizon=N
             ds *= BACKTRACK
 
         g_full_new = _gradient(sys, cand)
-        g_flow_new = _project_gradient(g_full_new, kmax)
-        vel = tuple((c - p) / step for c, p in zip(_parts(cand), _parts(st.loop)))
+        g_flow_new = _project(g_full_new, kmax)
+        vel = tuple((c - p) / step for c, p in zip(cand.parts, st.loop.parts))
         gmid = tuple(0.5 * (a + b) for a, b in zip(g_flow, g_flow_new))
         st.energy += -step * _g_inner(gmid, vel, nt)
         prev = st.loop
         st.loop, st.action, st.grad = cand, a_new, g_full_new
+        st.norm = grad_norm(g_full_new, nt)
         g_flow = g_flow_new
         st.s += step
         st.steps += 1
@@ -442,7 +437,7 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
     non-finite values.
     """
     kmax = controls.freq_cutoff
-    loop = _project_loop(loop0, kmax)
+    loop = type(loop0)(*_project(loop0.parts, kmax))
     nt = loop.nt
     extended = isinstance(loop, ExtendedLoop)
     zeta0_mean = math.fsum(loop.zeta.tolist()) / nt if extended else 0.0
@@ -458,15 +453,14 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
             else:
                 rate = (cur.tau - prev.tau) / ds
             eta_resid = abs(rate - float(np.mean(sys.hamiltonian(prev.x))))
-        full_norm = grad_norm(st.grad, nt)
         max_h, contained, spread = _observe(sys, cur)
         drift = math.fsum(cur.zeta.tolist()) / nt - zeta0_mean if extended else 0.0
         diags.rows.append(
             FlowStep(
-                step=st.steps, s=st.s, action=st.action, grad_norm=full_norm,
+                step=st.steps, s=st.s, action=st.action, grad_norm=st.norm,
                 energy_cum=st.energy, eta_avg_residual=eta_resid, zeta_drift=drift,
                 max_abs_h=max_h, containment=contained,
-                lem1_ok=_lem1_check(sys, full_norm, max_h), zeta_spread=spread,
+                lem1_ok=_lem1_check(sys, st.norm, max_h), zeta_spread=spread,
             )
         )
 
@@ -520,7 +514,7 @@ def lift_loop(loop: RabinowitzLoop, sigma: float = 0.0) -> ExtendedLoop:
     """Lift (x, tau) to (x, eta = tau const, zeta = sigma const)."""
     nt = loop.nt
     return ExtendedLoop(
-        x=np.array(loop.x), eta=np.full(nt, loop.tau), zeta=np.full(nt, sigma)
+        x=np.array(loop.x), eta=np.full(nt, loop.tau), zeta=np.full(nt, float(sigma))
     )
 
 
@@ -537,41 +531,38 @@ def _fourier_basis(nt: int, kmax: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+# reduced coordinates: per part in field order, a loop part's basis
+# coefficients component by component, a scalar part as itself
+
+
+def _width(part, nb: int) -> int:
+    """Number of reduced coordinates of one part."""
+    return nb * (part.size // len(part)) if np.ndim(part) else 1
+
+
 def _pack_dim(loop, kmax: int) -> int:
-    nb = 2 * kmax + 1
-    ncomp = loop.x.shape[1]
-    if isinstance(loop, RabinowitzLoop):
-        return ncomp * nb + 1
-    return (ncomp + 2) * nb
+    return sum(_width(p, 2 * kmax + 1) for p in loop.parts)
 
 
-def _unpack(loop, vec: np.ndarray, basis: np.ndarray):
-    """Tangent vector in the reduced basis -> loop-shaped arrays."""
-    nb = basis.shape[1]
-    ncomp = loop.x.shape[1]
-    dx = basis @ vec[: ncomp * nb].reshape(ncomp, nb).T
-    if isinstance(loop, RabinowitzLoop):
-        return dx, float(vec[-1])
-    deta = basis @ vec[ncomp * nb: (ncomp + 1) * nb]
-    dzeta = basis @ vec[(ncomp + 1) * nb:]
-    return dx, deta, dzeta
-
-
-def _pack_gradient(loop, g, basis: np.ndarray) -> np.ndarray:
+def _pack_gradient(g, basis: np.ndarray) -> np.ndarray:
     nt = basis.shape[0]
-    gx_coef = (basis.T @ g[0]) / nt  # orthonormal w.r.t. the mean inner product
-    if isinstance(loop, RabinowitzLoop):
-        return np.concatenate([gx_coef.T.ravel(), [g[1]]])
-    ge = basis.T @ g[1] / nt
-    gz = basis.T @ g[2] / nt
-    return np.concatenate([gx_coef.T.ravel(), ge, gz])
+    # orthonormal w.r.t. the mean inner product
+    return np.concatenate([((basis.T @ a) / nt).T.ravel() if np.ndim(a) else [a] for a in g])
 
 
 def _shift(loop, vec, basis, eps):
-    d = _unpack(loop, eps * vec, basis)
-    if isinstance(loop, RabinowitzLoop):
-        return RabinowitzLoop(x=loop.x + d[0], tau=loop.tau + d[1])
-    return ExtendedLoop(x=loop.x + d[0], eta=loop.eta + d[1], zeta=loop.zeta + d[2])
+    """The loop moved by eps times the reduced tangent vector vec."""
+    nb = basis.shape[1]
+    vec = eps * vec
+    out, i = [], 0
+    for p in loop.parts:
+        w = _width(p, nb)
+        if np.ndim(p):
+            out.append(p + (basis @ vec[i:i + w].reshape(-1, nb).T).reshape(p.shape))
+        else:
+            out.append(p + float(vec[i]))
+        i += w
+    return type(loop)(*out)
 
 
 def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
@@ -588,8 +579,8 @@ def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
-        gp = _pack_gradient(loop, _gradient(sys, _shift(loop, e, basis, eps)), basis)
-        gm = _pack_gradient(loop, _gradient(sys, _shift(loop, e, basis, -eps)), basis)
+        gp = _pack_gradient(_gradient(sys, _shift(loop, e, basis, eps)), basis)
+        gm = _pack_gradient(_gradient(sys, _shift(loop, e, basis, -eps)), basis)
         hess[:, j] = (gp - gm) / (2 * eps)
     return 0.5 * (hess + hess.T)
 
@@ -631,6 +622,7 @@ def loop_to_json(loop, file=None) -> str:
             "type": "extended", "x": loop.x.tolist(),
             "eta": loop.eta.tolist(), "zeta": loop.zeta.tolist(),
         }
+    # compact: indented, the arrays would print one number per line
     return write_text(file, json.dumps(payload, sort_keys=True) + "\n")
 
 

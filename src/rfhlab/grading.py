@@ -19,13 +19,12 @@ engine (``rsindex``), never from floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._files import read_json, write_text
+from ._files import read_json, write_json, write_text
 from .model import ModelSystem
 from .rsindex import HalfInteger, block_diag, rotation_path, rs_index, theta_path
 
@@ -349,7 +348,7 @@ def components_to_json(components, file=None) -> str:
         }
         for c in components
     ]
-    return write_text(file, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    return write_json(file, rows)
 
 
 def components_from_json(source) -> list[CriticalComponent]:

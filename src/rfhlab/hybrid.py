@@ -58,7 +58,6 @@ __all__ = [
     "HybridControls",
     "HybridDiagnostics",
     "AutoTransversalityReport",
-    "couple_loops",
     "initial_hybrid_state",
     "hybrid_relax",
     "hessian_agreement",
@@ -74,15 +73,6 @@ class CouplingError(RuntimeError):
 
 class ActionChainError(RuntimeError):
     """The action increased along a relaxed half-trajectory."""
-
-
-def couple_loops(minus_loop: RabinowitzLoop, zeta_ref: np.ndarray | float) -> ExtendedLoop:
-    """Project a free-period loop to the coupled fixed-period initial loop."""
-    nt = minus_loop.nt
-    zeta = np.full(nt, float(zeta_ref)) if np.isscalar(zeta_ref) else np.array(zeta_ref, float)
-    return ExtendedLoop(
-        x=np.array(minus_loop.x), eta=np.full(nt, minus_loop.tau), zeta=zeta
-    )
 
 
 @dataclass
@@ -164,7 +154,7 @@ def initial_hybrid_state(
     The plus side is the coupled lift with zeta = sigma; the coupling
     invariants hold by construction.
     """
-    plus0 = couple_loops(minus_input, sigma)
+    plus0 = lift_loop(minus_input, sigma)
     return HybridState(minus=HalfRun(loops=[minus_input]), plus=HalfRun(loops=[plus0]))
 
 
@@ -182,7 +172,7 @@ def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridContro
     def record(st, prev, ds):
         run.s.append(s_offset + st.s)
         run.actions.append(st.action)
-        run.grad_norms.append(grad_norm(st.grad, st.loop.nt))
+        run.grad_norms.append(st.norm)
         run.energy_cum.append(st.energy)
         run.observe(st.loop, r_plateau)
 
@@ -245,7 +235,7 @@ def hybrid_relax(
     while True:
         sweeps += 1
         minus = _half_run(sys, minus_input, -horizon, horizon, controls)
-        plus0 = couple_loops(minus.loops[-1], sigma_ref)
+        plus0 = lift_loop(minus.loops[-1], sigma_ref)
         plus = _half_run(sys, plus0, 0.0, horizon, controls)
         exhausted = minus.budget_exhausted or plus.budget_exhausted
         if plus.grad_norms[-1] <= END_TOL or exhausted or sweeps > MAX_DOUBLINGS:

@@ -27,12 +27,11 @@ outside a compact set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import read_json, write_text
+from ._files import read_json, write_json
 from .symlin import standard_jmat
 
 __all__ = [
@@ -339,7 +338,7 @@ def model_to_json(sys: ModelSystem, file=None) -> str:
         "r_plateau": sys.profile.r_plateau,
         "h_thr": sys.h_thr,
     }
-    return write_text(file, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return write_json(file, payload)
 
 
 def model_from_json(source) -> ModelSystem:

@@ -42,9 +42,11 @@ singular values above the background (golden-section search).  One rule
 accepts a located time: it lies more than SEPARATION from the crossings
 found and the segment ends, and its singular value above the background
 is at most CROSS_TOL; up to 100 CROSS_TOL raises ResolutionError.  Around
-each crossing the dips are sought again with its factor |t - t*|^d
-divided out, which finds a second crossing within a few samples that
-shares its sampled dip.
+each interior crossing, and around a singular end with kernel directions
+above the background, the dips are sought again with its factor
+|t - t*|^d divided out, which finds a second crossing within a few
+samples that shares its sampled dip; such a search refuses a time within
+DIVIDED_GAP of the crossing it divides out.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ VANISH_TOL = 1e-7         # plateau crossing forms must stay below this
 DEGENERATE_TOL = 1e-7     # crossing-form eigenvalue cluster width
 TIME_TOL = 1e-10          # refinement tolerance for crossing times
 SEPARATION = 10 * TIME_TOL  # interior crossings lie further from each other and the ends
+DIVIDED_GAP = 1e-6        # a search with a crossing divided out lands further from it
 
 
 class SymplecticPath:
@@ -161,11 +164,10 @@ class SymplecticPath:
     Attributes:
         ts: strictly increasing sample times, ts[0] = 0, ts[-1] = 1.
         mats: array (N, 2m, 2m) of samples; mats[0] = I.
-        form: matrix Omega of the symplectic form the samples preserve.
-        jmat: complex structure used in the generator equation
-            Gamma' = J S Gamma; equals ``form`` for every built-in
-            constructor, which is what makes the crossing form equal to
-            S on the kernel.
+        form: matrix Omega of the symplectic form the samples preserve,
+            and the J of the generator equation Gamma' = J S Gamma; that
+            one matrix plays both parts is what makes the crossing form
+            equal to S on the kernel.
         generator: optional callable t -> S(t), symmetric.
         evaluator: optional callable t -> Gamma(t), a closed form.
         fields: with a generator, the stack (N, 2m, 2m) of J S(t_k) at
@@ -183,7 +185,6 @@ class SymplecticPath:
         ts: Sequence[float],
         mats: Sequence[np.ndarray],
         form: np.ndarray | None = None,
-        jmat: np.ndarray | None = None,
         generator: Callable[[float], np.ndarray] | None = None,
         evaluator: Callable[[float], np.ndarray] | None = None,
         tol: float = 1e-7,
@@ -196,7 +197,6 @@ class SymplecticPath:
         if self.dim % 2 != 0:
             raise ValueError("path dimension must be even")
         self.form = standard_jmat(self.dim // 2) if form is None else np.asarray(form, float)
-        self.jmat = self.form if jmat is None else np.asarray(jmat, float)
         self.generator = generator
         self.evaluator = evaluator
         self.tol = float(tol)
@@ -233,7 +233,7 @@ class SymplecticPath:
             return
         dt = self.ts[i + 1] - self.ts[i - 1]
         fd = (self.mats[i + 1] - self.mats[i - 1]) / dt
-        rhs = self.jmat @ self.generator(float(self.ts[i])) @ self.mats[i]
+        rhs = self.form @ self.generator(float(self.ts[i])) @ self.mats[i]
         scale = max(1.0, float(np.max(np.abs(rhs))))
         if np.max(np.abs(fd - rhs)) > 1e-2 * scale + 10 * dt:
             raise ValueError("generator is inconsistent with the sampled derivative")
@@ -255,7 +255,7 @@ class SymplecticPath:
         if self._fields is None:
             if self.generator is None:
                 raise MissingGeneratorError("the path has no generator")
-            self._fields = _field_stack(self.generator, self.jmat, self.ts)
+            self._fields = _field_stack(self.generator, self.form, self.ts)
         return self._fields
 
     def _hermite(self, t: float) -> np.ndarray:
@@ -289,7 +289,7 @@ class SymplecticPath:
     def derivative(self, t: float) -> np.ndarray:
         """Gamma'(t), from the generator when present, else by differencing."""
         if self.generator is not None:
-            return self.jmat @ self.generator(float(t)) @ self.at(t)
+            return self.form @ self.generator(float(t)) @ self.at(t)
         h = 1e-6
         if t < h:
             return (-3 * self.at(t) + 4 * self.at(t + h) - self.at(t + 2 * h)) / (2 * h)
@@ -335,7 +335,7 @@ def _crossing(path: SymplecticPath, t: float, mat: np.ndarray, kind: str, backgr
     kernel = vt[_kernel_mask(svals)].T
     # Gamma'(t) = J S(t) Gamma(t) needs no path evaluation
     dgamma = (path.derivative(t) if path.generator is None
-              else path.jmat @ path.generator(float(t)) @ mat)
+              else path.form @ path.generator(float(t)) @ mat)
     form = SymmetricForm(kernel.T @ dgamma.T @ path.form @ kernel)
     fscale = max(1.0, float(np.max(np.abs(form.entries))))
     evals = np.linalg.eigvalsh(form.entries) if form.k else np.zeros(0)
@@ -500,6 +500,8 @@ def _segment_detailed(path, a, b):
         t = _locate(path, lo, hi, bg, det_lo, divide)
         if min(abs(t - s) for s in taken) <= SEPARATION:
             return
+        if divide[1] and abs(t - divide[0]) <= DIVIDED_GAP:
+            return  # the divided crossing's own small singular value
         mat = path.at(t)
         sigma = np.linalg.svd(mat - eye, compute_uv=False)[-(bg + 1)]
         if sigma > 100 * CROSS_TOL:
@@ -513,11 +515,13 @@ def _segment_detailed(path, a, b):
         crossings.append(c)
         taken.append(t)
         halves += 2 * c.sig
-        # a crossing within a few samples of this one can share its sampled
-        # dip; with this one's factor |t - t*|^d divided out it shows its own.
-        # A low end is bounded by its one neighbour, for a crossing that
-        # shares the end interval
-        d = c.kernel_basis.shape[1] - bg
+        research(t, c.kernel_basis.shape[1] - bg, bg)
+
+    def research(t, d, bg):
+        # a crossing within a few samples of the one at t can share its
+        # sampled dip; with that one's factor |t - t*|^d divided out it shows
+        # its own.  A low end is bounded by its one neighbour, for a crossing
+        # that shares the end interval
         k = int(np.searchsorted(ts, t))
         near = np.arange(max(k - 4, 0), min(k + 4, n))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -535,6 +539,9 @@ def _segment_detailed(path, a, b):
             c = _crossing(path, ts[k], mats[k], "start" if k == 0 else "end")
             crossings.append(c)
             halves += c.sig
+            # a crossing in the last interval can hide in the end's dip
+            if k == n - 1 and c.kernel_basis.shape[1] > background[k]:
+                research(ts[k], c.kernel_basis.shape[1] - background[k], background[k])
         if dips[k]:
             accept(ts[max(k - 1, 0)], ts[min(k + 1, n - 1)], background[k])
         if flips[k]:
@@ -628,9 +635,9 @@ def path_from_generator(
     Raises ValueError if the integrated samples lose the symplectic
     condition beyond ``tol`` (reduce the step by raising n_steps).
     """
-    jmat = standard_jmat(dim // 2) if form is None else np.asarray(form, float)
+    form = standard_jmat(dim // 2) if form is None else np.asarray(form, float)
     h = 1.0 / n_steps
-    fields = _field_stack(gen, jmat, np.linspace(0.0, 1.0, 2 * n_steps + 1))
+    fields = _field_stack(gen, form, np.linspace(0.0, 1.0, 2 * n_steps + 1))
     start, mid, end = fields[:-1:2], fields[1::2], fields[2::2]
     k = mid + (0.5 * h) * (mid @ start)  # K2
     steps = start + 2 * k
@@ -645,7 +652,7 @@ def path_from_generator(
         np.matmul(steps[k], mats[k], out=mats[k + 1])
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     try:
-        path = SymplecticPath(ts, mats, form=jmat, tol=tol)
+        path = SymplecticPath(ts, mats, form=form, tol=tol)
     except ValueError as exc:
         raise ValueError(f"integration lost symplecticity: {exc}; raise n_steps") from exc
     # attached after construction: the samples solve Gamma' = J S Gamma by
@@ -670,7 +677,7 @@ def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> S
     def gen(t: float) -> np.ndarray:
         return base(t) - delta * eye
 
-    return path_from_generator(gen, path.dim, form=path.jmat, n_steps=n_steps, tol=max(path.tol, 1e-8))
+    return path_from_generator(gen, path.dim, form=path.form, n_steps=n_steps, tol=max(path.tol, 1e-8))
 
 
 def _resample_times(p1: SymplecticPath, p2: SymplecticPath) -> np.ndarray:
@@ -697,7 +704,6 @@ def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
     else:
         mats = np.array([joined(p1.at(t), p2.at(t)) for t in ts])
     form = joined(p1.form, p2.form)
-    jmat = joined(p1.jmat, p2.jmat)
 
     evaluator = None
     if (p1.evaluator is not None or p1.generator is not None) and (
@@ -712,7 +718,7 @@ def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
             return joined(p1.generator(t), p2.generator(t))
 
     return SymplecticPath(
-        ts, mats, form=form, jmat=jmat, generator=generator, evaluator=evaluator,
+        ts, mats, form=form, generator=generator, evaluator=evaluator,
         tol=max(p1.tol, p2.tol),
     )
 
@@ -735,7 +741,7 @@ def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
             return psi @ path.at(t) @ psi_inv
 
     return SymplecticPath(
-        path.ts.copy(), mats, form=path.form, jmat=path.jmat,
+        path.ts.copy(), mats, form=path.form,
         evaluator=evaluator, tol=max(path.tol, 1e-8),
     )
 

@@ -93,6 +93,12 @@ def _loop_json(tmp_path):
     return str(loop)
 
 
+def _short_loop_json(tmp_path):
+    loop = tmp_path / "short.json"
+    loop.write_text('{"type": "rabinowitz", "x": [[1, 0], [0, 1]], "tau": 1}')
+    return str(loop)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["flow", "--tol", "-1", "--steps", "50"], "--tol"),
     (["flow", "--tol", "0"], "--tol"),
@@ -126,9 +132,12 @@ def _loop_json(tmp_path):
     (["flow", "--loop", "LOOP_JSON", "--amplitude", "1e-2"], "--amplitude"),
     (["flow", "--loop", "LOOP_JSON", "--seed", "0"], "--seed"),
     (["flow", "--loop", "LOOP_JSON", "--n", "2"], "loop of dimension 2, but the model has --n 2"),
+    # a loop's own grid meets the rule --nt meets: 2 cutoff + 2 samples
+    (["flow", "--loop", "SHORT_LOOP_JSON", "--n", "1"], "N_t = 2 samples, but --cutoff 1"),
+    (["flow", "--loop", "LOOP_JSON", "--cutoff", "8"], "N_t = 16 samples, but --cutoff 8"),
 ])
 def test_bad_numbers_exit_two_naming_the_flag(tmp_path, capsys, argv, named):
-    files = {"NAN_CSV": _nan_csv, "LOOP_JSON": _loop_json}
+    files = {"NAN_CSV": _nan_csv, "LOOP_JSON": _loop_json, "SHORT_LOOP_JSON": _short_loop_json}
     argv = [files[a](tmp_path) if a in files else a for a in argv]
     assert run(argv) == 2
     err = capsys.readouterr().err

@@ -1,8 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfhlab import gradflow
 from rfhlab.gradflow import (
     DIAG_COLUMNS,
     DivergenceError,
@@ -293,3 +297,177 @@ def test_fourier_project_idempotent_and_band_limited():
     assert np.allclose(fourier_project(low, 3), low)
     spec = np.fft.rfft(low, axis=0)
     assert np.max(np.abs(spec[4:])) < 1e-12
+
+
+# -- the parts rule ----------------------------------------------------------------
+# The per-kind helpers the parts rule replaced, kept as reference oracles:
+# the generic helpers must give the same floats, bit for bit.
+
+
+def ref_grad_norm(g, nt):
+    if len(g) == 2:
+        gx, gtau = g
+        return math.sqrt(float(np.sum(gx * gx)) / nt + gtau * gtau)
+    gx, geta, gzeta = g
+    return math.sqrt(
+        (float(np.sum(gx * gx)) + float(np.sum(geta * geta)) + float(np.sum(gzeta * gzeta))) / nt
+    )
+
+
+def ref_g_inner(g1, g2, nt):
+    if len(g1) == 2:
+        return float(np.sum(g1[0] * g2[0])) / nt + g1[1] * g2[1]
+    return (
+        float(np.sum(g1[0] * g2[0]))
+        + float(np.sum(g1[1] * g2[1]))
+        + float(np.sum(g1[2] * g2[2]))
+    ) / nt
+
+
+def ref_project_gradient(g, kmax):
+    if len(g) == 2:
+        return (fourier_project(g[0], kmax), g[1])
+    return tuple(fourier_project(a, kmax) for a in g)
+
+
+def ref_apply_step(loop, g, ds):
+    if isinstance(loop, RabinowitzLoop):
+        return RabinowitzLoop(x=loop.x - ds * g[0], tau=loop.tau - ds * g[1])
+    return ExtendedLoop(
+        x=loop.x - ds * g[0], eta=loop.eta - ds * g[1], zeta=loop.zeta - ds * g[2]
+    )
+
+
+def ref_project_loop(loop, kmax):
+    if isinstance(loop, RabinowitzLoop):
+        return RabinowitzLoop(x=fourier_project(loop.x, kmax), tau=loop.tau)
+    return ExtendedLoop(
+        x=fourier_project(loop.x, kmax),
+        eta=fourier_project(loop.eta, kmax),
+        zeta=fourier_project(loop.zeta, kmax),
+    )
+
+
+def ref_parts(loop):
+    if isinstance(loop, RabinowitzLoop):
+        return (loop.x, loop.tau)
+    return (loop.x, loop.eta, loop.zeta)
+
+
+def ref_pack_dim(loop, kmax):
+    nb = 2 * kmax + 1
+    ncomp = loop.x.shape[1]
+    if isinstance(loop, RabinowitzLoop):
+        return ncomp * nb + 1
+    return (ncomp + 2) * nb
+
+
+def ref_unpack(loop, vec, basis):
+    nb = basis.shape[1]
+    ncomp = loop.x.shape[1]
+    dx = basis @ vec[: ncomp * nb].reshape(ncomp, nb).T
+    if isinstance(loop, RabinowitzLoop):
+        return dx, float(vec[-1])
+    deta = basis @ vec[ncomp * nb: (ncomp + 1) * nb]
+    dzeta = basis @ vec[(ncomp + 1) * nb:]
+    return dx, deta, dzeta
+
+
+def ref_pack_gradient(loop, g, basis):
+    nt = basis.shape[0]
+    gx_coef = (basis.T @ g[0]) / nt
+    if isinstance(loop, RabinowitzLoop):
+        return np.concatenate([gx_coef.T.ravel(), [g[1]]])
+    ge = basis.T @ g[1] / nt
+    gz = basis.T @ g[2] / nt
+    return np.concatenate([gx_coef.T.ravel(), ge, gz])
+
+
+def ref_shift(loop, vec, basis, eps):
+    d = ref_unpack(loop, eps * vec, basis)
+    if isinstance(loop, RabinowitzLoop):
+        return RabinowitzLoop(x=loop.x + d[0], tau=loop.tau + d[1])
+    return ExtendedLoop(x=loop.x + d[0], eta=loop.eta + d[1], zeta=loop.zeta + d[2])
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes: tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_parts(p, q):
+    return len(p) == len(q) and all(same_bits(a, b) for a, b in zip(p, q))
+
+
+def random_parts(rng, kind, nt, ncomp, scale):
+    """(x, tau) or (x, eta, zeta) drawn at ``scale``; tau is a Python float."""
+    x = scale * rng.standard_normal((nt, ncomp))
+    if kind == "rabinowitz":
+        return (x, scale * float(rng.standard_normal()))
+    return (x, scale * rng.standard_normal(nt), scale * rng.standard_normal(nt))
+
+
+LOOPS = {"rabinowitz": RabinowitzLoop, "extended": ExtendedLoop}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOOPS)),
+    n=st.integers(1, 3),
+    nt=st.integers(8, 512),
+    kmax=st.integers(1, 3),
+    scale=st.sampled_from([1.0, 1e3, 1e-300, -0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parts_rule_matches_the_per_kind_helpers_bitwise(kind, n, nt, kmax, scale, seed):
+    rng = np.random.default_rng(seed)
+    loop = LOOPS[kind](*random_parts(rng, kind, nt, 2 * n, 1.0))
+    g1 = random_parts(rng, kind, nt, 2 * n, scale)
+    g2 = random_parts(rng, kind, nt, 2 * n, 1.0)
+    assert same_parts(loop.parts, ref_parts(loop)) and loop.nt == nt
+
+    assert same_bits(gradflow._g_inner(g1, g2, nt), ref_g_inner(g1, g2, nt))
+    assert same_bits(gradflow._g_inner(g2, g1, nt), ref_g_inner(g2, g1, nt))
+    assert same_bits(grad_norm(g1, nt), ref_grad_norm(g1, nt))
+    assert same_bits(grad_norm(g2, nt), ref_grad_norm(g2, nt))
+
+    ds = float(rng.uniform(1e-6, 5e-2))
+    step = gradflow._apply_step(loop, g1, ds)
+    assert type(step) is type(loop)
+    assert same_parts(step.parts, ref_parts(ref_apply_step(loop, g1, ds)))
+
+    assert same_parts(gradflow._project(g2, kmax), ref_project_gradient(g2, kmax))
+    cut = type(loop)(*gradflow._project(loop.parts, kmax))
+    assert same_parts(cut.parts, ref_parts(ref_project_loop(loop, kmax)))
+
+    basis = gradflow._fourier_basis(nt, kmax)
+    dim = gradflow._pack_dim(loop, kmax)
+    assert dim == ref_pack_dim(loop, kmax)
+    assert same_bits(gradflow._pack_gradient(g2, basis), ref_pack_gradient(loop, g2, basis))
+    vec = rng.standard_normal(dim)
+    for eps in (1e-5, -1e-5, 3e-6):
+        moved = gradflow._shift(loop, vec, basis, eps)
+        assert same_parts(moved.parts, ref_parts(ref_shift(loop, vec, basis, eps)))
+
+
+@pytest.mark.parametrize("flavor", ["extended", "rabinowitz"])
+def test_one_gradient_norm_per_accepted_step(sys1, orbit, lifted, monkeypatch, flavor):
+    # the descent computes each state's norm once and hands it to the recorder
+    base, amplitude, rate_min = (lifted, 1e-5, 2.0) if flavor == "extended" else (orbit, 3e-6, 0.5)
+    start = stable_perturbation(sys1, base, np.random.default_rng(12),
+                                kmax=1, amplitude=amplitude, rate_min=rate_min)
+    norms = []
+
+    def counted(g, nt):
+        norms.append(ref_grad_norm(g, nt))
+        return norms[-1]
+
+    monkeypatch.setattr(gradflow, "grad_norm", counted)
+    for max_steps in (10**6, 7):
+        norms.clear()
+        _, d = integrate(sys1, start, IntegrateControls(freq_cutoff=1, max_steps=max_steps,
+                                                        eps_stop=1e-6))
+        assert len(d.rows) > 1 and d.rows[-1].step == len(d.rows) - 1
+        assert len(norms) == len(d.rows)  # the start and each accepted step
+        assert [r.grad_norm for r in d.rows] == norms

@@ -8,13 +8,13 @@ from rfhlab.gradflow import (
     StepSizeError,
     discrete_constant_loop,
     discrete_orbit_loop,
+    lift_loop,
     stable_perturbation,
 )
 from rfhlab.hybrid import (
     HYBRID_DIAG_COLUMNS,
     HybridControls,
     auto_transversality_check,
-    couple_loops,
     hessian_agreement,
     hybrid_diagnostics_to_csv,
     hybrid_relax,
@@ -36,7 +36,7 @@ def orbit(sys1):
 
 
 def test_coupling_projection_is_exact(sys1, orbit):
-    plus = couple_loops(orbit, 0.7)
+    plus = lift_loop(orbit, 0.7)
     assert np.array_equal(plus.x, orbit.x)
     assert np.all(plus.eta == orbit.tau)
     assert np.all(plus.zeta == 0.7)

@@ -592,12 +592,16 @@ def _closed_form(block, build):
         path = theta_path(tau, hp, -hpp if negative else hpp)
         twice = 0
     if build != "closed":
-        path = path_from_generator(path.generator, path.dim, form=path.jmat, n_steps=build)
+        path = path_from_generator(path.generator, path.dim, form=path.form, n_steps=build)
     return path, twice
 
 
 @settings(max_examples=20, deadline=None)
 @example(blocks=[("turns", 1, 1), ("turns", 1, 2)], sign=-1)  # both crossings in the end interval
+# a crossing 1.1 samples before an end where the other block returns to I
+@example(blocks=[("turns", 1, -2), ("rotation", 1, 6.296875, False)], sign=-1)
+# the search around that end must not take the end's own small singular value
+@example(blocks=[("turns", 1, -2), ("rotation", 1, 4.0, False)], sign=-1)
 @given(
     blocks=st.lists(st.one_of(
         closed_forms,
