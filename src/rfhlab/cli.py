@@ -10,6 +10,7 @@ a header row, '.' decimals, and LF line endings, JSON is sorted-key.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -69,6 +70,10 @@ def _check_numbers(args):
 # parser leaves them unset so that a --loop start can refuse them
 _START_FLAGS = {"nt": 256, "k": 1, "start": "orbit", "flavor": "extended",
                 "sigma": 0.0, "amplitude": 1e-5, "seed": 0}
+# a rabinowitz orbit start diverges from the extended defaults; these are
+# criterion 7's, which stop above the free-period saddle's rounding-noise
+# floor near 3e-7
+_RABINOWITZ_ORBIT_DEFAULTS = {"amplitude": 3e-6, "tol": 1e-6}
 
 
 def _resolve_start_flags(args):
@@ -77,7 +82,10 @@ def _resolve_start_flags(args):
         if given:
             raise ConfigError(f"{', '.join(given)} shape a built start and cannot be "
                               "combined with --loop")
-    for name, default in _START_FLAGS.items():
+    defaults = dict(_START_FLAGS, tol=FLAGS["--tol"]["default"])
+    if not args.loop and args.flavor == "rabinowitz" and args.start in (None, "orbit"):
+        defaults.update(_RABINOWITZ_ORBIT_DEFAULTS)
+    for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
 
@@ -320,6 +328,7 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfhlab",
@@ -350,13 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser("flow", help="negative gradient flow runs with diagnostics")
-    add(p, "--model", "--n", "--nt", "--tol", "--steps", "--seed", "--out", "--format")
+    add(p, "--model", "--n", "--nt", "--steps", "--seed", "--out", "--format")
+    p.add_argument("--tol", type=float,
+                   help="stop tolerance (default 1e-7; 1e-6 for a rabinowitz orbit start)")
     p.add_argument("--loop", help="initial loop JSON (instead of a built start)")
     p.add_argument("--start", choices=("orbit", "constants"))
     p.add_argument("--flavor", choices=("extended", "rabinowitz"))
     p.add_argument("--k", type=int, help="orbit multiplicity")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--amplitude", type=float)
+    p.add_argument("--amplitude", type=float,
+                   help="start perturbation (default 1e-5; 3e-6 for a rabinowitz orbit start)")
     p.add_argument("--cutoff", type=int, default=1, help="Fourier cutoff (stabilizer)")
     p.add_argument("--snapshot", help="write the final loop as JSON")
     p.set_defaults(func=_cmd_flow, **dict.fromkeys(_START_FLAGS))

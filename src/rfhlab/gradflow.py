@@ -53,7 +53,7 @@ from functools import reduce
 import numpy as np
 
 from ._files import read_json, write_text
-from .model import ModelSystem
+from .model import ModelSystem, radius
 
 __all__ = [
     "RabinowitzLoop",
@@ -131,9 +131,15 @@ class ExtendedLoop(_Loop):
 
 
 def circ_diff(arr: np.ndarray, nt: int | None = None) -> np.ndarray:
-    """Centered difference d/dt on the periodic unit-time grid."""
+    """Centered difference d/dt on the periodic unit-time grid: row k is
+    (a[k+1] - a[k-1]) * (n/2), indices mod N_t, written from slices."""
     n = arr.shape[0] if nt is None else nt
-    return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) * (n / 2.0)
+    out = np.empty_like(arr)
+    np.subtract(arr[2:], arr[:-2], out=out[1:-1])
+    np.subtract(arr[1:2], arr[-1:], out=out[:1])
+    np.subtract(arr[:1], arr[-2:-1], out=out[-1:])
+    out *= n / 2.0
+    return out
 
 
 def fourier_project(arr: np.ndarray, kmax: int) -> np.ndarray:
@@ -402,7 +408,7 @@ def _lem1_check(sys: ModelSystem, full_norm: float, max_abs_h: float) -> bool:
 
 def _observe(sys, loop):
     habs = np.abs(sys.hamiltonian(loop.x))
-    contained = bool(np.max(np.linalg.norm(loop.x, axis=1)) <= sys.profile.r_plateau + 1e-9)
+    contained = bool(np.max(radius(loop.x)) <= sys.profile.r_plateau + 1e-9)
     if isinstance(loop, ExtendedLoop):
         spread = float(
             math.sqrt(max(np.mean((loop.zeta - loop.zeta_avg) ** 2), 0.0))

@@ -51,7 +51,7 @@ from .gradflow import (
     lift_loop,
     reduced_hessian,
 )
-from .model import ModelSystem
+from .model import ModelSystem, radius
 
 __all__ = [
     "HybridState",
@@ -104,7 +104,7 @@ class HalfRun:
             spread = float(np.max(np.abs(loop.zeta - np.mean(loop.zeta))))
             self.zeta_spread_inf = max(self.zeta_spread_inf, spread)
         self.contained = self.contained and (
-            float(np.max(np.linalg.norm(loop.x, axis=1))) <= r_plateau + 1e-9
+            float(np.max(radius(loop.x))) <= r_plateau + 1e-9
         )
 
 

@@ -36,6 +36,7 @@ from .symlin import standard_jmat
 
 __all__ = [
     "RadialProfile",
+    "radius",
     "ModelSystem",
     "ExtendedPoint",
     "ReebOrbitFamily",
@@ -48,6 +49,17 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
+
+
+def radius(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a float array over its last axis: the squares
+    summed column by column, left to right, then the square root.  These
+    are the floats of ``np.linalg.norm(x, axis=-1)``, without its reduction."""
+    sq = x * x
+    r = sq[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        r += sq[..., k]
+    return np.sqrt(r)
 
 
 def _smoothstep(u):
@@ -64,6 +76,10 @@ class RadialProfile:
     u = (r - r0)/(r_plateau - r0) and q the quintic smoothstep, so h is
     C^2 (in fact C^3), exactly constant for r >= r_plateau, and exactly
     quadratic for r <= r0.  The plateau value follows from integration.
+
+    ``h``, ``hp`` and ``hpp`` run the cap formula only on radii past r0 (and
+    NaN); the others take the quadratic branch, which is what the cap formula
+    gives there to the last bit.  Loops near Sigma pay for no powers of u.
     """
 
     r0: float = 1.2
@@ -73,31 +89,46 @@ class RadialProfile:
         if not (1.0 < self.r0 < self.r_plateau):
             raise ValueError("need 1 < r0 < r_plateau")
 
-    def h(self, r):
+    def _branches(self, r, quadratic, cap):
+        """quadratic(r) where r <= r0, cap(r) on the other radii; one array,
+        0-d for a scalar r."""
         r = np.asarray(r, dtype=float)
-        delta = self.r_plateau - self.r0
-        u = np.clip((r - self.r0) / delta, 0.0, 1.0)
-        # antiderivatives of q and of u*q over [0, u]
-        q1 = 2.5 * u**4 - 3.0 * u**5 + u**6
-        q2 = 2.0 * u**5 - 2.5 * u**6 + (6.0 / 7.0) * u**7
-        mid = 0.5 * (np.minimum(r, self.r_plateau) ** 2 - 1.0) - (
-            delta * self.r0 * q1 + delta**2 * q2
-        )
-        return np.where(r <= self.r0, 0.5 * (r * r - 1.0), mid)
+        if r.ndim == 0:  # numpy's scalar powers round apart from its array loops
+            return np.array(quadratic(r) if r <= self.r0 else cap(r), dtype=float)
+        out = np.array(quadratic(r), dtype=float)
+        past = ~(r <= self.r0)
+        if past.any():
+            out[past] = cap(r[past])
+        return out
+
+    def _u(self, r):
+        return np.clip((r - self.r0) / (self.r_plateau - self.r0), 0.0, 1.0)
+
+    def h(self, r):
+        def cap(r):
+            delta = self.r_plateau - self.r0
+            u = self._u(r)
+            # antiderivatives of q and of u*q over [0, u]
+            q1 = 2.5 * u**4 - 3.0 * u**5 + u**6
+            q2 = 2.0 * u**5 - 2.5 * u**6 + (6.0 / 7.0) * u**7
+            return 0.5 * (np.minimum(r, self.r_plateau) ** 2 - 1.0) - (
+                delta * self.r0 * q1 + delta**2 * q2
+            )
+
+        return self._branches(r, lambda r: 0.5 * (r * r - 1.0), cap)
 
     def hp(self, r):
-        r = np.asarray(r, dtype=float)
-        delta = self.r_plateau - self.r0
-        u = np.clip((r - self.r0) / delta, 0.0, 1.0)
-        return r * (1.0 - _smoothstep(u))
+        return self._branches(r, lambda r: r, lambda r: r * (1.0 - _smoothstep(self._u(r))))[()]
 
     def hpp(self, r):
-        r = np.asarray(r, dtype=float)
-        delta = self.r_plateau - self.r0
-        u = np.clip((r - self.r0) / delta, 0.0, 1.0)
-        qp = 30.0 * u**2 * (1.0 - u) ** 2 / delta
-        qp = np.where((r <= self.r0) | (r >= self.r_plateau), 0.0, qp)
-        return (1.0 - _smoothstep(u)) - r * qp
+        def cap(r):
+            delta = self.r_plateau - self.r0
+            u = self._u(r)
+            qp = 30.0 * u**2 * (1.0 - u) ** 2 / delta
+            qp = np.where(r >= self.r_plateau, 0.0, qp)
+            return (1.0 - _smoothstep(u)) - r * qp
+
+        return self._branches(r, np.ones_like, cap)[()]
 
     def plateau_value(self) -> float:
         return float(self.h(self.r_plateau))
@@ -131,11 +162,11 @@ class ModelSystem:
 
     def hamiltonian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.profile.h(np.linalg.norm(x, axis=-1))
+        return self.profile.h(radius(x))
 
     def grad_hamiltonian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = radius(x)[..., None]
         fac = np.where(r > 1e-12, self.profile.hp(r) / np.maximum(r, 1e-12), 1.0)
         return fac * x
 

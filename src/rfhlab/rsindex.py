@@ -172,7 +172,11 @@ class SymplecticPath:
         evaluator: optional callable t -> Gamma(t), a closed form.
         fields: with a generator, the stack (N, 2m, 2m) of J S(t_k) at
             the sample times.  ``path_from_generator`` keeps the one it
-            integrated with; any other path computes it on first use.
+            integrated with; ``theta_path`` and ``rotation_path`` carry a
+            read-only broadcast of their one constant J S; ``block_diag``
+            on a shared grid places its parts' stacks in blocks when both
+            carry one.  Any other path calls its generator once per sample
+            on first use.
 
     Off-sample values come from the evaluator; without one, from cubic
     Hermite interpolation on Gamma_k and Gamma'_k = J S(t_k) Gamma_k when
@@ -364,7 +368,7 @@ def _check_plateaus(path, ts, mats, kdims, background) -> None:
         dgamma = np.array([path.derivative(t) for t in ts[idx]])
     else:  # interior samples of a segment are samples of the path
         dgamma = path.fields[np.searchsorted(path.ts, ts[idx])] @ mats[idx]
-    forms = np.einsum("nij,nkj,kl,nml->nim", vt, dgamma, path.form, vt, optimize=True)
+    forms = ((vt @ dgamma.transpose(0, 2, 1)) @ path.form) @ vt.transpose(0, 2, 1)
     mask = _kernel_mask(svals)
     worst = np.max(np.abs(forms) * (mask[:, :, None] & mask[:, None, :]), axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(dgamma), axis=(1, 2)))
@@ -592,9 +596,11 @@ def theta_path(tau: float, hp: float, hpp: float, n_samples: int = 257) -> Sympl
 
     ts = np.linspace(0.0, 1.0, n_samples)
     mats = np.eye(4) + ts[:, None, None] * nmat
-    return SymplecticPath(
+    path = SymplecticPath(
         ts, mats, form=form, generator=lambda t: cmat, evaluator=evaluate, tol=1e-10
     )
+    path._fields = np.broadcast_to(form @ cmat, mats.shape)
+    return path
 
 
 def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
@@ -610,9 +616,11 @@ def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
     mats = np.cos(angles) * eye
     mats += np.sin(angles) * jmat
     gen = angle * eye
-    return SymplecticPath(
+    path = SymplecticPath(
         ts, mats, generator=lambda t: gen, evaluator=evaluate, tol=1e-9
     )
+    path._fields = np.broadcast_to(jmat @ gen, mats.shape)
+    return path
 
 
 def path_from_generator(
@@ -672,10 +680,10 @@ def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> S
     if path.generator is None:
         raise MissingGeneratorError("perturbed_path requires a path with a generator")
     base = path.generator
-    eye = np.eye(path.dim)
+    shift = delta * np.eye(path.dim)
 
     def gen(t: float) -> np.ndarray:
-        return base(t) - delta * eye
+        return base(t) - shift
 
     return path_from_generator(gen, path.dim, form=path.form, n_steps=n_steps, tol=max(path.tol, 1e-8))
 
@@ -697,7 +705,8 @@ def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
         out[d1:, d1:] = b
         return out
 
-    if len(ts) == len(p1.ts) == len(p2.ts):
+    same_grid = len(ts) == len(p1.ts) == len(p2.ts)
+    if same_grid:
         mats = np.zeros((len(ts), d1 + d2, d1 + d2))
         mats[:, :d1, :d1] = p1.mats
         mats[:, d1:, d1:] = p2.mats
@@ -717,10 +726,15 @@ def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
         def generator(t: float) -> np.ndarray:
             return joined(p1.generator(t), p2.generator(t))
 
-    return SymplecticPath(
+    path = SymplecticPath(
         ts, mats, form=form, generator=generator, evaluator=evaluator,
         tol=max(p1.tol, p2.tol),
     )
+    if same_grid and p1._fields is not None and p2._fields is not None:
+        path._fields = np.zeros(mats.shape)
+        path._fields[:, :d1, :d1] = p1._fields
+        path._fields[:, d1:, d1:] = p2._fields
+    return path
 
 
 def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:

@@ -220,6 +220,20 @@ def test_flow_outputs_are_deterministic(tmp_path):
     assert filecmp.cmp(outs[0], outs[1], shallow=False)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_flow_rabinowitz_orbit_start_converges_with_its_defaults(tmp_path, capsys, seed):
+    # a rabinowitz orbit start defaults to --amplitude 3e-6 and --tol 1e-6
+    default, spelled = tmp_path / "default.csv", tmp_path / "spelled.csv"
+    argv = ["flow", "--flavor", "rabinowitz", "--seed", str(seed)]
+    assert run(argv + ["--out", str(default)]) == 0
+    assert "flow: converged=True target=orbit+1" in capsys.readouterr().out
+    assert run(argv + ["--amplitude", "3e-6", "--tol", "1e-6", "--out", str(spelled)]) == 0
+    assert filecmp.cmp(default, spelled, shallow=False)
+    if seed == 0:  # explicit flags still win: the extended defaults diverge here
+        assert run(argv + ["--amplitude", "1e-5", "--tol", "1e-7", "--out", str(spelled)]) == 3
+        assert "flow diverged" in capsys.readouterr().err
+
+
 def test_flow_step_budget_exhausted_exits_three(tmp_path, capsys):
     out = tmp_path / "diag.csv"
     snap = tmp_path / "loop.json"
@@ -314,6 +328,37 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
         "selftest": {"--seed", "--out", "--only"},
     }
     assert sum(len(flags) for flags in surface.values()) == 54
+
+
+def test_the_parser_is_built_once_and_fresh_parsers_agree(tmp_path, capsys):
+    argvs = [
+        ["flow", "--nt", "64", "--seed", "2", "--format", "json"],
+        ["index", "--theta", "tau=6.28", "hp=1", "hpp=1", "--delta", "1e-3"],
+        ["flow", "--flavor", "rabinowitz", "--nt", "64"],
+        ["flow", "--start", "constants", "--nt", "32", "--steps", "3"],
+        ["grade", "--n", "2", "--format", "json"],
+        ["flow", "--tol", "-1"],
+        ["hybrid", "--nt", "32", "--amplitude", "3e-6"],
+        ["index", "--theta", "tau=1", "hp=1", "hpp=1"],
+    ]
+
+    def outcomes(fresh):
+        seen = []
+        for i, argv in enumerate(argvs):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.out"
+            code = cli.main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err,
+                         out.read_text() if out.exists() else None))
+        return seen
+
+    cli.build_parser.cache_clear()
+    once = outcomes(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert once == outcomes(fresh=True)
+    assert [code for code, *_ in once] == [0, 0, 0, 3, 0, 2, 0, 0]
 
 
 @pytest.fixture(scope="module")

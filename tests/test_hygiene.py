@@ -37,6 +37,66 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _dotted(node) -> str:
+    """``np.linalg.norm`` for the expression np.linalg.norm, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def wasteful_calls(source: str, per_sample: bool) -> list[str]:
+    """Calls that do wasted work on every call.
+
+    Anywhere: ``einsum`` told to search a contraction path (optimize=True or
+    a strategy name), a search repeated on every call.  In the per-sample
+    kernels (``per_sample``): ``np.roll``, two copies where slices do, and
+    ``np.linalg.norm`` over an axis, a general reduction where
+    ``model.radius`` gives the same floats.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        keywords = {k.arg: k.value for k in node.keywords}
+        optimize = keywords.get("optimize")
+        if (name.split(".")[-1] == "einsum" and isinstance(optimize, ast.Constant)
+                and (optimize.value is True or isinstance(optimize.value, str))):
+            found.append(f"line {node.lineno}: {name}(..., optimize={optimize.value!r})")
+        if per_sample and name == "np.roll":
+            found.append(f"line {node.lineno}: np.roll")
+        if per_sample and name == "np.linalg.norm" and ("axis" in keywords or len(node.args) >= 3):
+            found.append(f"line {node.lineno}: np.linalg.norm over an axis")
+    return found
+
+
+PER_SAMPLE = ("gradflow.py", "model.py", "hybrid.py")
+
+
+def test_wasteful_calls_are_found():
+    source = ("a = np.roll(x, 1, axis=0)\nr = np.linalg.norm(x, axis=1)\n"
+              "s = np.linalg.norm(x, None, -1)\nt = np.linalg.norm(x)\n"
+              "f = np.einsum('ij,jk', a, b, optimize=True)\n"
+              "g = einsum('ij,jk', a, b, optimize='greedy')\n"
+              "h = np.einsum('ij,jk', a, b, optimize=['einsum_path', (0, 1)])\n")
+    assert wasteful_calls(source, per_sample=True) == [
+        "line 1: np.roll", "line 2: np.linalg.norm over an axis",
+        "line 3: np.linalg.norm over an axis", "line 5: np.einsum(..., optimize=True)",
+        "line 6: einsum(..., optimize='greedy')"]
+    assert wasteful_calls(source, per_sample=False) == [
+        "line 5: np.einsum(..., optimize=True)", "line 6: einsum(..., optimize='greedy')"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_wasteful_calls(path):
+    assert wasteful_calls(path.read_text(), per_sample=path.name in PER_SAMPLE) == []
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; the package runs on numpy alone
     probe = "import sys, rfhlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

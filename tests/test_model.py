@@ -2,7 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rfhlab.gradflow import circ_diff
 from rfhlab.model import (
     ExtendedPoint,
     extended_flow,
@@ -13,6 +16,7 @@ from rfhlab.model import (
     model_to_json,
     orbit_loop,
     r_star_shift,
+    radius,
     reeb_orbits,
 )
 
@@ -173,3 +177,110 @@ def test_acs_is_constant_minus_j():
     for n in (1, 2, 3):
         sy = make_model(n=n)
         assert np.array_equal(sy.acs(), -sy.jmat)
+
+
+# -- the field kernels ------------------------------------------------------------
+# The expressions the kernels replaced, kept as reference oracles: the
+# kernels must give the same floats, bit for bit, and the same types.
+
+
+def _ref_smoothstep(u):
+    u = np.clip(u, 0.0, 1.0)
+    return u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
+def ref_h(p, r):
+    r = np.asarray(r, dtype=float)
+    delta = p.r_plateau - p.r0
+    u = np.clip((r - p.r0) / delta, 0.0, 1.0)
+    q1 = 2.5 * u**4 - 3.0 * u**5 + u**6
+    q2 = 2.0 * u**5 - 2.5 * u**6 + (6.0 / 7.0) * u**7
+    mid = 0.5 * (np.minimum(r, p.r_plateau) ** 2 - 1.0) - (delta * p.r0 * q1 + delta**2 * q2)
+    return np.where(r <= p.r0, 0.5 * (r * r - 1.0), mid)
+
+
+def ref_hp(p, r):
+    r = np.asarray(r, dtype=float)
+    u = np.clip((r - p.r0) / (p.r_plateau - p.r0), 0.0, 1.0)
+    return r * (1.0 - _ref_smoothstep(u))
+
+
+def ref_hpp(p, r):
+    r = np.asarray(r, dtype=float)
+    delta = p.r_plateau - p.r0
+    u = np.clip((r - p.r0) / delta, 0.0, 1.0)
+    qp = 30.0 * u**2 * (1.0 - u) ** 2 / delta
+    qp = np.where((r <= p.r0) | (r >= p.r_plateau), 0.0, qp)
+    return (1.0 - _ref_smoothstep(u)) - r * qp
+
+
+def ref_hamiltonian(sy, x):
+    return ref_h(sy.profile, np.linalg.norm(x, axis=-1))
+
+
+def ref_grad_hamiltonian(sy, x):
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    fac = np.where(r > 1e-12, ref_hp(sy.profile, r) / np.maximum(r, 1e-12), 1.0)
+    return fac * x
+
+
+def ref_circ_diff(arr, nt=None):
+    n = arr.shape[0] if nt is None else nt
+    return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) * (n / 2.0)
+
+
+def same_bits(a, b):
+    """Same type, shape, dtype and bytes: tells -0.0 from 0.0 and compares NaNs."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).dtype == np.asarray(b).dtype
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+R0, R_PLATEAU = 1.2, 1.5
+SPECIAL_RADII = [0.0, R0, np.nextafter(R0, 0.0), np.nextafter(R0, 2.0), R_PLATEAU,
+                 np.nextafter(R_PLATEAU, 0.0), np.nextafter(R_PLATEAU, 2.0), 1.0, 2.0]
+RADII = st.one_of(st.sampled_from(SPECIAL_RADII), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    radii=st.lists(RADII, min_size=3, max_size=300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, radii=SPECIAL_RADII, seed=0)
+@example(n=3, radii=[0.0, 0.0, 0.0], seed=1)
+def test_field_kernels_match_the_replaced_expressions_bitwise(n, radii, seed):
+    sy = make_model(n=n)
+    p = sy.profile
+    r = np.array(radii)
+    with np.errstate(invalid="ignore"):  # NaN and inf radii take the cap's branch, as before
+        for scalar in (np.nan, np.inf):
+            assert same_bits(p.hpp(scalar), ref_hpp(p, scalar))
+            assert same_bits(p.hpp(np.append(r, scalar)), ref_hpp(p, np.append(r, scalar)))
+            assert same_bits(p.h(np.append(r, scalar)), ref_h(p, np.append(r, scalar)))
+            assert same_bits(p.hp(np.append(r, scalar)), ref_hp(p, np.append(r, scalar)))
+    for shaped in (r, r[:, None], r[: len(r) // 3 * 3].reshape(-1, 3)):
+        assert same_bits(p.h(shaped), ref_h(p, shaped))
+        assert same_bits(p.hp(shaped), ref_hp(p, shaped))
+        assert same_bits(p.hpp(shaped), ref_hpp(p, shaped))
+    for scalar in (radii[0], np.float64(radii[-1]), np.array(radii[1])):
+        assert same_bits(p.h(scalar), ref_h(p, scalar))
+        assert same_bits(p.hp(scalar), ref_hp(p, scalar))
+        assert same_bits(p.hpp(scalar), ref_hpp(p, scalar))
+
+    # loops of N_t = len(radii) samples whose radii are near the drawn ones
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((len(r), 2 * n))
+    x = direction / np.linalg.norm(direction, axis=1, keepdims=True) * r[:, None]
+    x[rng.random(len(r)) < 0.1] = 0.0
+    assert same_bits(radius(x), np.linalg.norm(x, axis=-1))
+    assert same_bits(radius(x[0]), np.linalg.norm(x[0], axis=-1))
+    assert same_bits(sy.hamiltonian(x), ref_hamiltonian(sy, x))
+    assert same_bits(sy.hamiltonian(x[1]), ref_hamiltonian(sy, x[1]))
+    assert same_bits(sy.grad_hamiltonian(x), ref_grad_hamiltonian(sy, x))
+    assert same_bits(sy.x_h(x), ref_grad_hamiltonian(sy, x) @ sy.jmat.T)
+    assert same_bits(sy.x_h(x[2]), ref_grad_hamiltonian(sy, x[2]) @ sy.jmat.T)
+    for arr in (x, x[:, 0], rng.standard_normal((len(r), 2, 3))):
+        assert same_bits(circ_diff(arr), ref_circ_diff(arr))
+        assert same_bits(circ_diff(arr, 7), ref_circ_diff(arr, 7))

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rfhlab.grading import model_lambda_path
+from rfhlab.model import make_model
 from rfhlab.rsindex import (
     HalfInteger,
     IrregularCrossingError,
     ResolutionError,
     SymplecticPath,
+    _field_stack,
     block_diag,
     conjugate_path,
     load_path_csv,
@@ -531,6 +534,42 @@ def test_generator_path_without_stack_computes_it_once():
     for t in (0.1234, 0.5678):
         assert np.max(np.abs(p.at(t) - ref.evaluator(t))) < 1e-10
     assert len(calls) == built + n + 1
+
+
+def _stack_bits(path):
+    return np.ascontiguousarray(path.fields).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), angle=st.floats(-20.0, 20.0), tau=st.floats(-10.0, 10.0),
+       hp=st.floats(0.1, 5.0), hpp=st.sampled_from([-2.0, 0.5, 3.0]), n=st.integers(257, 700))
+def test_constructor_stacks_equal_the_generator_stack_bitwise(m, angle, tau, hp, hpp, n):
+    # theta, rotation and block-joined paths carry their J S stacks; each
+    # must be the stack one generator call per sample would give
+    theta = theta_path(tau, hp, hpp, n_samples=n)
+    rot = rotation_path(m, angle, n_samples=n)
+    other = rotation_path(1, angle + 1.0, n_samples=n)
+    gen = path_from_generator(lambda t: (1.0 + t) * np.diag([1.0, 2.0]), 2, n_steps=n - 1)
+    for path in (theta, rot, block_diag(rot, theta), block_diag(theta, rot),
+                 block_diag(other, rot), block_diag(gen, other), block_diag(block_diag(rot, gen), theta)):
+        assert _stack_bits(path) == _field_stack(path.generator, path.form, path.ts).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_model_lambda_path_index_makes_no_per_sample_generator_call(n):
+    sy = make_model(n=n)
+    for k in (-2, -1, 1, 2):
+        path = model_lambda_path(sy, k)
+        calls = []
+        gen = path.generator
+
+        def counted(t, gen=gen):
+            calls.append(t)
+            return gen(t)
+
+        path.generator = counted
+        assert rs_index(path).twice_value == 4 * k * (n - 1)
+        assert len(calls) < 10 < path.n_samples
 
 
 def test_perturbed_path_builds_through_the_module_global(monkeypatch):
