@@ -1,6 +1,7 @@
 """Index calculus on paths of symplectic matrices.
 
-Walks through the crossing-form engine: anchor paths with known indices,
+Walks through the index engine (``rs_index``, with the crossing list of
+``rs_index_detailed``): anchor paths with known indices,
 the explicit unipotent 4x4 path attached to a closed orbit, generator
 perturbations, and additivity over block-diagonal joins.
 """

@@ -13,8 +13,8 @@ component.  Generator gradings add Morse indices:
 
 All dimension formulas for cascade moduli spaces and the Fredholm index
 of the half-cylinder matching problem are implemented as exact integer
-arithmetic; the path indices feeding them come from the crossing-form
-engine (``rsindex``), never from floating point.
+arithmetic; the path indices feeding them come from ``rsindex.rs_index``
+as exact half-integers, never from floating point.
 """
 
 from __future__ import annotations
@@ -301,8 +301,8 @@ def model_lambda_path(sys: ModelSystem, k: int, n_samples: int = 257):
 def model_components(sys: ModelSystem, ks=(-2, -1, 1, 2)) -> list[CriticalComponent]:
     """Critical components of the model: constants plus one per multiplicity.
 
-    The path index of each orbit component is computed by the crossing-form
-    engine on the block path; for the round model it comes out 2k(n - 1).
+    The path index of each orbit component is ``rs_index`` of the block
+    path; for the round model it comes out 2k(n - 1).
     The constants carry index zero and action zero.
     """
     comps = [

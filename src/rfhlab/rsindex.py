@@ -1,35 +1,65 @@
 """Robbin-Salamon index of paths of symplectic matrices.
 
-The index of a path Gamma : [0,1] -> Sp(2m) with Gamma(0) = I is computed
-from crossing forms.  A crossing is a time t* with det(Gamma(t*) - I) = 0;
-the crossing form is the symmetric bilinear form
+The index of a path Gamma : [0,1] -> Sp(2m) with Gamma(0) = I is the
+Maslov index of the pair of Lagrangians (Gr Gamma(t), Delta) in
+(R^2m + R^2m, -omega + omega) (Robbin & Salamon, "The Maslov index for
+paths", Topology 32 (1993)).  ``rs_index`` and ``rs_index_segment`` compute
+it as a winding number.  In a Darboux frame E of the path's form Omega
+(E^T Omega E = J_m, by symplectic Gram-Schmidt; none when Omega is J_m) let
+G = E^-1 Gamma E, split into m x m blocks, and
+
+    D(t) = det((G_xy - G_yx) + i (G_xx + G_yy)).
+
+D is the determinant of the complex frame F_c of the graph, rows
+[I_m, -i I_m] over [G_x. + i G_y.], with the first factor flipped by
+diag(I, -I) so that -omega becomes omega.  The Souriau map S(L) = U U^T,
+U = F_c (I + G^T G)^(-1/2), turns the crossings of Gr Gamma with Delta into
+the eigenvalues 1 of the unitary W(t) = S(Gr Gamma(t)) conj(S(Delta)), and
+arg det W = 2 arg D + const (Cappell, Lee & Miller, CPAM 47 (1994)).  Each
+eigenphase of W counts its signed passages through 0, half at an end, so
+with the eigenphases phi_j(t) of W at the ends and s(phi) = phi mod 2 pi in
+(0, 2 pi), s = pi where |phi| <= END_TOL (an end crossing), the index on
+[a, b] is
+
+    2 mu = [2 sum_k arg(D_{k+1} / D_k) - sum_j s(phi_j(b)) + sum_j s(phi_j(a))] / pi
+
+over the samples t_k from a to b.  At a = 0, W = I and the last sum is
+2 m pi.  The index is defined for every path: no crossing has to be
+regular, and the cost is one batched m x m complex determinant per sample.
+A sample step with |arg(D_{k+1} / D_k)| >= pi / 2 is halved with
+``path.at``, up to REFINE_DEPTH times; ResolutionError if that does not
+resolve it, or if 2 mu lies more than 1e-6 from an integer.  The sign
+convention is pinned by three anchors: the constant identity path has
+index 0, the full rotation t -> exp(2 pi t J_1) in Sp(2) has index 2, and
+the explicit unipotent 4 x 4 path built by ``theta_path`` has index 0.
+
+``rs_index_detailed`` still lists the crossings by the crossing scan below,
+until the scan is retired (ROADMAP item 3).  A crossing is a time t* with
+det(Gamma(t*) - I) = 0; the crossing form is the symmetric bilinear form
 
     Q(v, w) = omega(Gamma'(t*) v, w)      on ker(Gamma(t*) - I),
 
-and the index is
+and the scan's index is
 
     1/2 sig Q(0)  +  sum over interior crossings of sig Q  +  1/2 sig Q(1),
 
-each endpoint term present only when the endpoint is a crossing.  The sign
-convention is pinned by three anchors: the constant identity path has index
-0, the full rotation t -> exp(2 pi t J_1) in Sp(2) has index 2 (both
-endpoint crossing forms positive definite), and the explicit unipotent
-4 x 4 path built by ``theta_path`` has index
--1/2 sgn [[tau*hpp, hp], [hp, 0]] = 0.
+each endpoint term present only when the endpoint is a crossing.  When a
+path carries a generator, i.e. a symmetric S(t) with Gamma' = J S Gamma and
+the matrix J equal to the matrix of the form, the crossing form reduces to
+S(t*) restricted to the kernel; the scan uses the omega-based formula
+uniformly, which agrees with that reduction.
 
-When a path carries a generator, i.e. a symmetric S(t) with
-Gamma' = J S Gamma and the matrix J equal to the matrix of the form, the
-crossing form reduces to S(t*) restricted to the kernel; the engine uses
-the omega-based formula uniformly, which agrees with that reduction.
-
-Interior crossings must be regular (nondegenerate crossing form).  A
-degenerate interior crossing raises IrregularCrossingError; the caller
-resolves it with ``perturbed_path``, which replaces the generator S by
-S - delta*I.  Intervals on which the path remains singular ("plateaus",
-runs of two or more singular samples) are admitted when the crossing
-form vanishes identically on the kernel there; they contribute zero,
-like constant identity segments.  The kernel dimension a plateau keeps
-throughout is its background.
+The scan needs interior crossings to be regular (nondegenerate crossing
+form).  A degenerate interior crossing raises IrregularCrossingError; the
+caller resolves it with ``perturbed_path``, which replaces the generator S
+by S - delta*I.  Intervals on which the path remains singular ("plateaus",
+runs of two or more singular samples) are admitted when the crossing form
+vanishes identically on the kernel there; they contribute zero, like
+constant identity segments.  The kernel dimension a plateau keeps
+throughout is its background.  The scan counts nothing where kernel
+directions leave at a plateau's end or at a degenerate start, so where
+they do (a rotation that starts late) it differs from the winding, which
+counts them.
 
 The scan takes one batched SVD and determinant of Gamma(t_k) - I over the
 samples, checks all plateau samples at once (their kernels from one more
@@ -82,15 +112,16 @@ __all__ = [
 
 
 class IrregularCrossingError(RuntimeError):
-    """An interior crossing has a degenerate crossing form.
+    """The crossing scan met an interior crossing with a degenerate form.
 
-    The index through such a crossing is not determined by the local data;
-    perturb the generator (see ``perturbed_path``) and recompute.
+    The scan cannot count such a crossing from its local data; perturb
+    the generator (see ``perturbed_path``) and recompute.  ``rs_index``
+    needs no regularity and never raises it.
     """
 
 
 class ResolutionError(RuntimeError):
-    """A near-crossing could not be resolved at the sampling resolution.
+    """The index is not resolved at the sampling resolution.
 
     Rebuild the path with a finer sample grid.
     """
@@ -156,6 +187,8 @@ DEGENERATE_TOL = 1e-7     # crossing-form eigenvalue cluster width
 TIME_TOL = 1e-10          # refinement tolerance for crossing times
 SEPARATION = 10 * TIME_TOL  # interior crossings lie further from each other and the ends
 DIVIDED_GAP = 1e-6        # a search with a crossing divided out lands further from it
+END_TOL = 1e-9            # an eigenphase of W this close to 0 at an end is a crossing
+REFINE_DEPTH = 8          # halvings of a sample step whose phase turns by pi/2 or more
 
 
 class SymplecticPath:
@@ -314,6 +347,101 @@ def _field_stack(gen, jmat: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.matmul(jmat, out, out=out)
 
 
+# -- the winding of det D ------------------------------------------------------
+
+
+def _darboux_frame(form: np.ndarray) -> np.ndarray | None:
+    """E with E^T form E = J_m by symplectic Gram-Schmidt; None when form is J_m."""
+    dim = form.shape[0]
+    m = dim // 2
+    if np.array_equal(form, standard_jmat(m)):
+        return None
+    rest = np.eye(dim)  # columns not yet paired, omega-orthogonal to the pairs
+    es, fs = [], []
+    for _ in range(m):
+        e = rest[:, 0]
+        pairing = e @ form @ rest
+        j = int(np.argmax(np.abs(pairing)))
+        if abs(pairing[j]) <= 1e-12:
+            raise ValueError("the path's form is degenerate")
+        f = rest[:, j] / -pairing[j]  # omega(e, f) = -1, the pairing of J_m
+        rest = np.delete(rest, [0, j], axis=1)
+        rest = rest - np.outer(e, f @ form @ rest) + np.outer(f, e @ form @ rest)
+        es.append(e)
+        fs.append(f)
+    return np.column_stack(es + fs)
+
+
+def _graph_dets(g: np.ndarray) -> np.ndarray:
+    """D = det((G_xy - G_yx) + i (G_xx + G_yy)) for a stack of G in J_m form."""
+    m = g.shape[-1] // 2
+    x, y = g[:, :m], g[:, m:]
+    return np.linalg.det((x[..., m:] - y[..., :m]) + 1j * (x[..., :m] + y[..., m:]))
+
+
+def _end_phases(g: np.ndarray) -> np.ndarray:
+    """s(phi) summed over the eigenphases phi of W = S(Gr G) conj(S(Delta)), per G.
+
+    S(Delta) = [[0, I], [I, 0]] is real, so W is S(Gr G) with its column
+    blocks swapped.
+    """
+    m = g.shape[-1] // 2
+    eye = np.eye(m)
+    frames = np.empty(g.shape, complex)
+    frames[:, :m] = np.hstack((eye, -1j * eye))
+    frames[:, m:] = g[:, :m] + 1j * g[:, m:]
+    lam, vec = np.linalg.eigh(np.eye(2 * m) + g.transpose(0, 2, 1) @ g)
+    u = frames @ (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
+    souriau = u @ u.transpose(0, 2, 1)
+    phases = np.angle(np.linalg.eigvals(np.concatenate((souriau[..., m:], souriau[..., :m]), axis=-1)))
+    return np.where(np.abs(phases) <= END_TOL, np.pi, np.mod(phases, 2 * np.pi)).sum(axis=1)
+
+
+def _winding(path: SymplecticPath, a: float, b: float) -> HalfInteger:
+    """Twice the index on [a, b] from the winding of D (see the module docstring)."""
+    if not (0.0 <= a < b <= 1.0):
+        raise ValueError("need 0 <= a < b <= 1")
+    frame = _darboux_frame(path.form)
+    inverse = None if frame is None else np.linalg.inv(frame)
+
+    def graphs(mats):
+        return mats if frame is None else inverse @ mats @ frame
+
+    if a == 0.0 and b == 1.0:
+        ts, mats = path.ts, path.mats
+    else:
+        inside = (path.ts > a + 1e-14) & (path.ts < b - 1e-14)
+        ts = np.concatenate(([a], path.ts[inside], [b]))
+        mats = np.concatenate(([path.at(a)], path.mats[inside], [path.at(b)]))
+    g = graphs(mats)
+    dets = _graph_dets(g)
+    steps = np.angle(dets[1:] / dets[:-1])
+
+    def refined(t0, t1, d0, d1, depth):
+        step = float(np.angle(d1 / d0))
+        if abs(step) < np.pi / 2:
+            return step
+        if depth == 0:
+            raise ResolutionError(
+                f"det D turns by {step:+.3f} rad within [{t0:.9f}, {t1:.9f}]; "
+                f"rebuild the path with finer sampling"
+            )
+        tm = 0.5 * (t0 + t1)
+        dm = _graph_dets(graphs(path.at(tm)[None]))[0]
+        return refined(t0, tm, d0, dm, depth - 1) + refined(tm, t1, dm, d1, depth - 1)
+
+    for k in np.flatnonzero(np.abs(steps) >= np.pi / 2):
+        steps[k] = refined(ts[k], ts[k + 1], dets[k], dets[k + 1], REFINE_DEPTH)
+    start, end = _end_phases(g[[0, -1]])
+    twice = (2.0 * float(np.sum(steps)) - end + start) / np.pi
+    whole = round(twice)
+    if abs(twice - whole) > 1e-6:
+        raise ResolutionError(
+            f"twice the index, {twice:.9f}, is not an integer; rebuild the path with finer sampling"
+        )
+    return HalfInteger(int(whole))
+
+
 # -- crossing machinery -------------------------------------------------------
 
 
@@ -424,31 +552,29 @@ def _locate(path: SymplecticPath, lo: float, hi: float, background: int,
 
 
 def rs_index_segment(path: SymplecticPath, a: float = 0.0, b: float = 1.0) -> HalfInteger:
-    """Index contribution of Gamma restricted to [a, b].
+    """Index contribution of Gamma restricted to [a, b], from the winding of D.
 
-    Endpoint crossings at a and b are weighted 1/2, so the index is
-    additive under concatenation at any time where Gamma has no
-    eigenvalue 1:  rs_index_segment(p, 0, c) + rs_index_segment(p, c, 1)
-    equals rs_index(p).
+    The end corrections at a and b are the same terms with opposite signs,
+    so the index is additive under concatenation at every time c:
+    rs_index_segment(p, 0, c) + rs_index_segment(p, c, 1) equals rs_index(p).
     """
-    value, _ = _segment_detailed(path, float(a), float(b))
-    return value
+    return _winding(path, float(a), float(b))
 
 
 def rs_index_detailed(path: SymplecticPath):
-    """Index of the full path together with the list of crossings found."""
+    """Index of the full path together with the list of crossings, by the crossing scan."""
     return _segment_detailed(path, 0.0, 1.0)
 
 
 def rs_index(path: SymplecticPath) -> HalfInteger:
-    """Robbin-Salamon index of the path as an exact half-integer.
+    """Robbin-Salamon index of the path as an exact half-integer, from the winding of D.
+
+    Uses the samples alone, unless a sample step needs refining.
 
     Raises:
-        IrregularCrossingError: a degenerate interior crossing was found.
-        ResolutionError: a near-crossing is unresolved at this sampling.
+        ResolutionError: the samples are too coarse for the winding.
     """
-    value, _ = _segment_detailed(path, 0.0, 1.0)
-    return value
+    return _winding(path, 0.0, 1.0)
 
 
 def _segment_detailed(path, a, b):

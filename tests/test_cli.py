@@ -52,9 +52,10 @@ def test_config_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_numerical_failure_exits_three(tmp_path, capsys):
-    # a path whose interior crossing has a degenerate form: the index
-    # engine refuses and the front end maps that to exit code 3
+def test_touching_path_through_csv_has_index_zero(tmp_path, capsys):
+    # the angle 8 pi t (1 - t) touches 2 pi at t = 1/2 with a degenerate
+    # crossing form and returns to 0: the path is homotopic to the identity
+    # path with fixed endpoints, so its index is 0
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def ev(t):
@@ -67,8 +68,8 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     p = SymplecticPath(ts, np.array([ev(t) for t in ts]), evaluator=ev)
     csv = tmp_path / "touch.csv"
     save_path_csv(p, str(csv))
-    assert run(["index", "--csv", str(csv)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert run(["index", "--csv", str(csv)]) == 0
+    assert "mu_rs = 0" in capsys.readouterr().out
 
 
 def test_hybrid_escape_exits_three(capsys):

@@ -266,8 +266,11 @@ def _touching_rotation(n_steps=1024):
 
 def test_irregular_interior_crossing_raises_and_perturbation_resolves():
     p = _touching_rotation()
+    # the touch leaves the winding unmoved: the angle returns to 0, so the
+    # path is homotopic to the identity path with fixed endpoints
+    assert rs_index(p).twice_value == 0
     with pytest.raises(IrregularCrossingError):
-        rs_index(p)
+        rs_index_detailed(p)
     # shifting the generator by -delta*I resolves the touch.  For
     # delta > 0 the perturbed angle 8 pi t (1-t) - delta t never reaches
     # 2 pi but re-crosses zero just before t = 1 with negative speed
@@ -314,8 +317,10 @@ def test_resolution_error_on_ambiguous_near_crossing():
 
     ts = np.linspace(0, 1, 513)
     p = SymplecticPath(ts, np.array([ev(t) for t in ts]), evaluator=ev)
+    # the angle returns to 0, so the index is that of the identity path
+    assert rs_index(p).twice_value == 0
     with pytest.raises(ResolutionError):
-        rs_index(p)
+        rs_index_detailed(p)
 
 
 def test_path_validation():
@@ -449,9 +454,6 @@ def test_rotation_index_closed_form_through_csv(m, size, negative):
     _check_rotation_index(_csv_copy(rotation_path(m, angle, 2049)), m, angle)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the first samples of a slow rotation stay within CROSS_TOL of the identity and form a "
-    "plateau whose crossing form a*I does not vanish: refused as irregular, or read as 0"))
 @pytest.mark.parametrize("angle", [1e-8, 1e-7, 1e-6, -1e-6, 4e-6])
 def test_slow_rotation_index_is_its_sign(angle):
     assert rs_index(rotation_path(1, angle)) == HalfInteger.whole(int(np.sign(angle)))
@@ -667,23 +669,29 @@ def test_perturbation_shift_is_minus_sign_delta_times_half_the_end_kernel(blocks
     assert rs_index(perturbed_path(joint, sign * 1e-3)).twice_value == twice - sign * kernel
 
 
+def _free_path(seed, m=1, n_steps=1024):
+    """path_from_generator of a random S(t) = A + sin(2 pi t + phase) B."""
+    rng = np.random.default_rng(seed)
+    a, b = random_symmetric(2 * m, rng, 1.0), random_symmetric(2 * m, rng, 1.0)
+    phase = float(rng.uniform(0, TWO_PI))
+    return path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase) * b, 2 * m, n_steps=n_steps)
+
+
+# joined with a theta block, the crossing scan read these free paths wrong:
+# a crossing 1.4 to 3.5 samples after the start went missing on the plateau
 @settings(max_examples=25, deadline=None)
+@example(seed=639, block=("theta", 0.0, 1.0, 1.0, False))
+@example(seed=872, block=("theta", 0.0, 1.0, 1.0, False))
+@example(seed=2324, block=("theta", 0.0, 1.0, 1.0, False))
 @given(seed=st.integers(0, 2**32 - 1), block=closed_forms)
 def test_block_additivity_of_generator_paths(seed, block):
     # on 1024 steps the dense output of the fastest drawn turn is off the
-    # circle by about (a h)^4 / 384 = 3e-10, well below CROSS_TOL
+    # circle by about (a h)^4 / 384 = 3e-10
     closed, twice = _closed_form(block, 1024)
     assert rs_index(closed).twice_value == twice
-    rng = np.random.default_rng(seed)
-    a, b = random_symmetric(2, rng, 1.0), random_symmetric(2, rng, 1.0)
-    phase = float(rng.uniform(0, TWO_PI))
-    free = path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase) * b, 2, n_steps=1024)
-    try:
-        alone = rs_index(free)
-        joint = rs_index(block_diag(free, closed))
-    except (IrregularCrossingError, ResolutionError):
-        assume(False)
-    assert joint.twice_value == alone.twice_value + twice
+    free = _free_path(seed)
+    alone = rs_index(free)
+    assert rs_index(block_diag(free, closed)).twice_value == alone.twice_value + twice
 
 
 def _theta_frame():
@@ -705,3 +713,139 @@ def test_conjugation_invariance_of_generator_paths(seed, block, scale):
         psi = np.linalg.inv(frame) @ psi @ frame
     assert rs_index(path).twice_value == twice
     assert rs_index(conjugate_path(path, psi)).twice_value == twice
+
+
+# -- the winding engine of rs_index against the crossing scan, homotopy
+# invariance and the work it does -----------------------------------------------
+
+
+def _drawn_path(blocks, n_steps):
+    parts = [_free_path(block[2], block[1], n_steps) if block[0] == "free"
+             else _closed_form(block, n_steps)[0] for block in blocks]
+    return parts[0] if len(parts) == 1 else block_diag(*parts)
+
+
+def _scan(path):
+    try:
+        return rs_index_detailed(path)[0]
+    except (IrregularCrossingError, ResolutionError):
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@example(blocks=[("free", 3, 1024), ("free", 3, 1024)])  # a join of a path with itself
+# a crossing 2.4e-5 before the end of the free block, lost next to the theta block
+@example(blocks=[("free", 2, 2753752032), ("theta", -0.4666693446117236, 1.690401947598155,
+                                          1.945976326026717, False)])
+@given(blocks=st.lists(st.one_of(
+    closed_forms,
+    st.tuples(st.just("free"), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1)),
+), min_size=1, max_size=2))
+def test_winding_equals_the_crossing_scan_wherever_the_scan_answers(blocks):
+    path = _drawn_path(blocks, 1024)
+    scan = _scan(path)
+    assume(scan is not None)
+    value = rs_index(path)
+    if value != scan:
+        # the scan misses crossings next to an end, most often in joins
+        # (CHANGES.md lists them).  Where the engines differ, the winding
+        # holds on a 16x finer grid, and there it equals the scan of the
+        # path or the sum of the scans of its blocks, where those answer
+        finer = [_drawn_path([block], 16384) for block in blocks]
+        joint = finer[0] if len(finer) == 1 else block_diag(*finer)
+        assert rs_index(joint) == value
+        scans = [_scan(part) for part in finer]
+        answers = {_scan(joint), None if None in scans else sum(scans, HalfInteger(0))} - {None}
+        assert not answers or value in answers
+
+
+def test_a_crossing_in_the_first_sample_interval_counts():
+    # S(0) has signature 2 with a small eigenvalue 1.6e-3, whose eigenphase
+    # of W turns back through 0 at t = 0.00058, inside the first of 1024
+    # steps; the scan finds that crossing only on a finer grid
+    path = _free_path(1877821423, 3)
+    assert rs_index(path).twice_value == 0
+    finer = path_from_generator(path.generator, 6, n_steps=4096)
+    assert rs_index_detailed(finer)[0].twice_value == 0
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_PANEL))
+def test_rs_index_gives_the_panel_values(name):
+    # the late rotation reparametrizes the rotation by 9.8, whose twice
+    # index is 6; the scan does not count its plateau exit and reads 4
+    build, twice, _ = CROSSING_PANEL[name]
+    assert rs_index(build()).twice_value == (6 if name == "late-rotation" else twice)
+
+
+def _turning_path(angle, n_samples=513):
+    jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def ev(t):
+        return np.cos(angle(t)) * np.eye(2) + np.sin(angle(t)) * jmat
+
+    ts = np.linspace(0, 1, n_samples)
+    return SymplecticPath(ts, np.array([ev(t) for t in ts]), evaluator=ev)
+
+
+def _homotopy(lam):
+    # (1 - lam) 9.8 t + lam 20 (t - 0.3)_+^2 ends at 9.8 for every lam: the
+    # rotation by 9.8 at lam = 0 and the late rotation at lam = 1
+    return lambda t: (1 - lam) * 9.8 * t + lam * 20 * max(0.0, t - 0.3) ** 2
+
+
+@pytest.mark.parametrize("angle", [_homotopy(lam) for lam in (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)]
+                         + [lambda t: 9.8 * t**3],
+                         ids=["lam0", "lam0.5", "lam0.9", "lam0.99", "lam0.999", "lam1", "cubic"])
+def test_index_is_invariant_under_homotopies_with_fixed_endpoints(angle):
+    # every angle runs from 0 to 9.8, so twice the index is that of the rotation by 9.8
+    assert rs_index(_turning_path(angle)).twice_value == 6
+
+
+@pytest.mark.parametrize("angle", [14.25, 15.0, 15.25, 15.5])
+def test_fast_constant_generator_on_384_steps_gives_the_closed_form(angle):
+    # the crossing scan raised ResolutionError on these Hermite dense outputs
+    path = path_from_generator(lambda t: angle * np.eye(2), 2, n_steps=384)
+    assert rs_index(path).twice_value == 2 * _rotation_index(1, angle)
+
+
+@pytest.mark.parametrize("build", [lambda: rotation_path(3, 9.0, 2049),
+                                   lambda: _csv_copy(rotation_path(3, 9.0, 2049))],
+                         ids=["closed", "csv"])
+def test_rs_index_makes_no_path_evaluation_and_no_svd(build, monkeypatch):
+    path = build()
+    calls = []
+    at, svd = SymplecticPath.at, np.linalg.svd
+
+    def counted_at(self, t):
+        calls.append(("at", t))
+        return at(self, t)
+
+    def counted_svd(*args, **kwargs):
+        calls.append(("svd",))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(SymplecticPath, "at", counted_at)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert rs_index(path).twice_value == 2 * _rotation_index(3, 9.0)
+    assert calls == []
+
+
+def test_a_coarse_step_is_refined_through_the_evaluator():
+    # on 5 samples D turns by 2.25 rad per step; one halving with the
+    # evaluator brings each step below pi / 2
+    assert rs_index(_turning_path(lambda t: 9.0 * t, n_samples=5)).twice_value == 6
+
+
+def test_a_jump_between_samples_raises_resolution_error():
+    # D jumps by 3 rad at t = 0.3, so no halving resolves that step
+    path = _turning_path(lambda t: 3.0 if t > 0.3 else 0.0, n_samples=5)
+    with pytest.raises(ResolutionError):
+        rs_index(path)
+
+
+@pytest.mark.parametrize("c", [TWO_PI / 9.0, 0.5], ids=["crossing", "regular"])
+def test_segments_add_up(c):
+    # Gamma(2 pi / 9) = I: both segments take the same end correction there
+    path = rotation_path(1, 9.0)
+    head, tail = rs_index_segment(path, 0.0, c), rs_index_segment(path, c, 1.0)
+    assert (head + tail).twice_value == rs_index(path).twice_value == 6
