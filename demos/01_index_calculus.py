@@ -1,9 +1,10 @@
 """Index calculus on paths of symplectic matrices.
 
 Walks through the index engine (``rs_index``, with the crossing list of
-``rs_index_detailed``): anchor paths with known indices,
-the explicit unipotent 4x4 path attached to a closed orbit, generator
-perturbations, and additivity over block-diagonal joins.
+``rs_index_detailed``, read from the eigenphases of the Souriau unitary W):
+anchor paths with known indices, the explicit unipotent 4x4 path attached
+to a closed orbit, generator perturbations, and additivity over
+block-diagonal joins.
 """
 
 import numpy as np
@@ -18,9 +19,10 @@ from rfhlab.rsindex import (
 )
 
 print("== anchors ==")
-print("identity segment contributes nothing; a full positive rotation in")
-print("Sp(2) crosses the identity at both endpoints with positive definite")
-print("crossing form, half-weighted:")
+print("identity segment contributes nothing; a rotation by theta in Sp(2)")
+print("turns both eigenphases of W by theta.  They leave 0 at the start and")
+print("reach it at each full turn: sig counts those passing 0 upwards less")
+print("those passing downwards, at half weight at the start and the end:")
 for angle, label in ((2 * np.pi, "one turn"), (4 * np.pi, "two turns"),
                      (np.pi, "half turn"), (-2 * np.pi, "one negative turn")):
     value, crossings = rs_index_detailed(rotation_path(1, angle))

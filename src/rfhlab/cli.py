@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (rsi.IrregularCrossingError, rsi.ResolutionError,
-            gf.StepSizeError, gf.DivergenceError) as exc:
+    except (rsi.ResolutionError, gf.StepSizeError, gf.DivergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (z2.FiltrationError, z2.GradingError, z2.NotInvertibleError,

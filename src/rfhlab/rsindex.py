@@ -33,67 +33,42 @@ convention is pinned by three anchors: the constant identity path has
 index 0, the full rotation t -> exp(2 pi t J_1) in Sp(2) has index 2, and
 the explicit unipotent 4 x 4 path built by ``theta_path`` has index 0.
 
-``rs_index_detailed`` still lists the crossings by the crossing scan below,
-until the scan is retired (ROADMAP item 3).  A crossing is a time t* with
-det(Gamma(t*) - I) = 0; the crossing form is the symmetric bilinear form
+``rs_index_detailed`` returns the same value with the list of crossings,
+read from the same samples.  One batched ``eigvals`` gives the eigenphases
+of W at every sample, and the net count of each sample interval,
 
-    Q(v, w) = omega(Gamma'(t*) v, w)      on ker(Gamma(t*) - I),
+    c_k = [2 arg(D_{k+1} / D_k) - sum_j s(phi_j(t_{k+1})) + sum_j s(phi_j(t_k))] / pi,
 
-and the scan's index is
-
-    1/2 sig Q(0)  +  sum over interior crossings of sig Q  +  1/2 sig Q(1),
-
-each endpoint term present only when the endpoint is a crossing.  When a
-path carries a generator, i.e. a symmetric S(t) with Gamma' = J S Gamma and
-the matrix J equal to the matrix of the form, the crossing form reduces to
-S(t*) restricted to the kernel; the scan uses the omega-based formula
-uniformly, which agrees with that reduction.
-
-The scan needs interior crossings to be regular (nondegenerate crossing
-form).  A degenerate interior crossing raises IrregularCrossingError; the
-caller resolves it with ``perturbed_path``, which replaces the generator S
-by S - delta*I.  Intervals on which the path remains singular ("plateaus",
-runs of two or more singular samples) are admitted when the crossing form
-vanishes identically on the kernel there; they contribute zero, like
-constant identity segments.  The kernel dimension a plateau keeps
-throughout is its background.  The scan counts nothing where kernel
-directions leave at a plateau's end or at a degenerate start, so where
-they do (a rotation that starts late) it differs from the winding, which
-counts them.
-
-The scan takes one batched SVD and determinant of Gamma(t_k) - I over the
-samples, checks all plateau samples at once (their kernels from one more
-batched SVD), and makes one pass over the samples that emits candidates
-in time order: a singular end of the segment (an endpoint crossing); a
-sign change of det(Gamma - I) off plateaus, which a simple crossing
-always makes (bisected; on a plateau the determinant is rounding noise);
-and a dip, a sampled local minimum of the product of the
-singular values above the background (golden-section search).  One rule
-accepts a located time: it lies more than SEPARATION from the crossings
-found and the segment ends, and its singular value above the background
-is at most CROSS_TOL; up to 100 CROSS_TOL raises ResolutionError.  Around
-each interior crossing, and around a singular end with kernel directions
-above the background, the dips are sought again with its factor
-|t - t*|^d divided out, which finds a second crossing within a few
-samples that shares its sampled dip; such a search refuses a time within
-DIVIDED_GAP of the crossing it divides out.
+telescopes to 2 mu.  An interval with c_k != 0, or across which the number
+of zero eigenphases (|phi| <= END_TOL) changes, is bisected with ``path.at``
+down to TIME_TOL; each piece left holds one passage of eigenphases into,
+out of or through the zero band.  Passages out of the band just after a
+sample where W has zero eigenphases, and into it just before one, belong
+to that sample; the others pair up into crossings between samples, each
+located where an eigenphase is within END_TOL.  A crossing's ``sig`` is
+the number of eigenphases passing 0 upwards less those passing downwards.
+An interior crossing adds 2 sig to twice the index; a start, an end or a
+plateau edge (where the number of zero eigenphases changes) adds sig, half
+weight.  The start is always listed, the end when W(1) has a zero
+eigenphase, and a crossing that sits on a sample is one entry at that
+sample.  The contributions sum to 2 mu by construction, and no crossing
+has to be regular.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._files import write_text
-from .symlin import SymmetricForm, standard_jmat, symplectic_defect
+from .symlin import standard_jmat, symplectic_defect
 
 __all__ = [
     "HalfInteger",
     "Crossing",
     "SymplecticPath",
-    "IrregularCrossingError",
     "ResolutionError",
     "MissingGeneratorError",
     "rs_index",
@@ -109,15 +84,6 @@ __all__ = [
     "save_path_csv",
     "load_path_csv",
 ]
-
-
-class IrregularCrossingError(RuntimeError):
-    """The crossing scan met an interior crossing with a degenerate form.
-
-    The scan cannot count such a crossing from its local data; perturb
-    the generator (see ``perturbed_path``) and recompute.  ``rs_index``
-    needs no regularity and never raises it.
-    """
 
 
 class ResolutionError(RuntimeError):
@@ -170,24 +136,27 @@ class HalfInteger:
 
 @dataclass(frozen=True)
 class Crossing:
-    """A crossing of det(Gamma(t) - I) = 0 with its form data."""
+    """A time where W has the eigenphase 0, i.e. Gamma(t) has the eigenvalue 1.
+
+    ``sig`` counts the eigenphases passing 0 upwards less those passing
+    downwards; ``kernel_dim`` is the number of eigenphases within END_TOL
+    at ``time``.
+    """
 
     time: float
-    kernel_basis: np.ndarray = field(repr=False)  # columns span ker(Gamma(t)-I)
-    form: SymmetricForm = field(repr=False)
+    kind: str  # "start" | "interior" | "plateau" | "end"
     sig: int
-    kind: str = "interior"  # "start" | "interior" | "end" | "plateau"
+    kernel_dim: int
+
+    @property
+    def contribution(self) -> HalfInteger:
+        """The crossing's share of the index: sig, half of it off the interior."""
+        return HalfInteger(2 * self.sig if self.kind == "interior" else self.sig)
 
 
 # tolerances of the index engine, suitable for unit-scale paths
-CROSS_TOL = 1e-8          # sigma_min below this counts as singular
-KERNEL_TOL = 1e-6         # singular values below this span the kernel
-VANISH_TOL = 1e-7         # plateau crossing forms must stay below this
-DEGENERATE_TOL = 1e-7     # crossing-form eigenvalue cluster width
-TIME_TOL = 1e-10          # refinement tolerance for crossing times
-SEPARATION = 10 * TIME_TOL  # interior crossings lie further from each other and the ends
-DIVIDED_GAP = 1e-6        # a search with a crossing divided out lands further from it
-END_TOL = 1e-9            # an eigenphase of W this close to 0 at an end is a crossing
+TIME_TOL = 1e-10          # bisection tolerance for crossing times
+END_TOL = 1e-9            # an eigenphase of W this close to 0 is a zero eigenphase
 REFINE_DEPTH = 8          # halvings of a sample step whose phase turns by pi/2 or more
 
 
@@ -323,17 +292,6 @@ class SymplecticPath:
             out += w * self.mats[a]
         return out
 
-    def derivative(self, t: float) -> np.ndarray:
-        """Gamma'(t), from the generator when present, else by differencing."""
-        if self.generator is not None:
-            return self.form @ self.generator(float(t)) @ self.at(t)
-        h = 1e-6
-        if t < h:
-            return (-3 * self.at(t) + 4 * self.at(t + h) - self.at(t + 2 * h)) / (2 * h)
-        if t > 1 - h:
-            return (3 * self.at(t) - 4 * self.at(t - h) + self.at(t - 2 * h)) / (2 * h)
-        return (self.at(t + h) - self.at(t - h)) / (2 * h)
-
     @property
     def n_samples(self) -> int:
         return len(self.ts)
@@ -379,11 +337,14 @@ def _graph_dets(g: np.ndarray) -> np.ndarray:
     return np.linalg.det((x[..., m:] - y[..., :m]) + 1j * (x[..., :m] + y[..., m:]))
 
 
-def _end_phases(g: np.ndarray) -> np.ndarray:
-    """s(phi) summed over the eigenphases phi of W = S(Gr G) conj(S(Delta)), per G.
+def _phases(g: np.ndarray) -> np.ndarray:
+    """Eigenphases of the Souriau unitary W = S(Gr G) conj(S(Delta)), one row per G.
 
     S(Delta) = [[0, I], [I, 0]] is real, so W is S(Gr G) with its column
-    blocks swapped.
+    blocks swapped.  Its eigenvalues are taken centred on their mean:
+    LAPACK's QR iteration can stall on the rounding noise off the diagonal
+    of a W next to a multiple of I, as at the end of the rotation by
+    1.5294913529348413 in Sp(2).
     """
     m = g.shape[-1] // 2
     eye = np.eye(m)
@@ -393,12 +354,20 @@ def _end_phases(g: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(np.eye(2 * m) + g.transpose(0, 2, 1) @ g)
     u = frames @ (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     souriau = u @ u.transpose(0, 2, 1)
-    phases = np.angle(np.linalg.eigvals(np.concatenate((souriau[..., m:], souriau[..., :m]), axis=-1)))
-    return np.where(np.abs(phases) <= END_TOL, np.pi, np.mod(phases, 2 * np.pi)).sum(axis=1)
+    w = np.concatenate((souriau[..., m:], souriau[..., :m]), axis=-1)
+    mean = np.trace(w, axis1=1, axis2=2)[:, None] / (2 * m)
+    return np.angle(np.linalg.eigvals(w - mean[..., None] * np.eye(2 * m)) + mean)
 
 
-def _winding(path: SymplecticPath, a: float, b: float) -> HalfInteger:
-    """Twice the index on [a, b] from the winding of D (see the module docstring)."""
+def _phase_sums(phases: np.ndarray) -> np.ndarray:
+    """s(phi) summed over each row of eigenphases (see the module docstring)."""
+    return np.where(np.abs(phases) <= END_TOL, np.pi, np.mod(phases, 2 * np.pi)).sum(axis=-1)
+
+
+def _sampled(path: SymplecticPath, a: float, b: float):
+    """The winding's samples on [a, b]: times, Darboux-framed G, D at each, the
+    steps of arg D between them (refined where needed), and the map from a
+    stack of Gamma to its stack of G."""
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
     frame = _darboux_frame(path.form)
@@ -432,7 +401,11 @@ def _winding(path: SymplecticPath, a: float, b: float) -> HalfInteger:
 
     for k in np.flatnonzero(np.abs(steps) >= np.pi / 2):
         steps[k] = refined(ts[k], ts[k + 1], dets[k], dets[k + 1], REFINE_DEPTH)
-    start, end = _end_phases(g[[0, -1]])
+    return ts, g, dets, steps, graphs
+
+
+def _twice(steps: np.ndarray, start: float, end: float) -> HalfInteger:
+    """The index from the steps of arg D and the sums of s(phi) at the two ends."""
     twice = (2.0 * float(np.sum(steps)) - end + start) / np.pi
     whole = round(twice)
     if abs(twice - whole) > 1e-6:
@@ -442,113 +415,11 @@ def _winding(path: SymplecticPath, a: float, b: float) -> HalfInteger:
     return HalfInteger(int(whole))
 
 
-# -- crossing machinery -------------------------------------------------------
-
-
-def _kernel_mask(svals: np.ndarray) -> np.ndarray:
-    """Which right singular vectors of Gamma(t) - I span its numerical kernel.
-
-    Works on one spectrum or a stack; the smallest direction always counts.
-    """
-    mask = svals <= np.maximum(KERNEL_TOL, 1e-9 * svals[..., :1])
-    mask[..., -1] = True
-    return mask
-
-
-def _crossing(path: SymplecticPath, t: float, mat: np.ndarray, kind: str, background: int = 0) -> Crossing:
-    """Crossing data at time t, where Gamma(t) = mat.
-
-    ``background`` is the dimension of a persistent singular direction
-    field (a plateau the crossing is embedded in); exactly that many
-    crossing-form eigenvalues may vanish at an interior crossing, and
-    they contribute nothing.  Endpoint crossings may be degenerate.
-    """
-    _, svals, vt = np.linalg.svd(mat - np.eye(path.dim))
-    kernel = vt[_kernel_mask(svals)].T
-    # Gamma'(t) = J S(t) Gamma(t) needs no path evaluation
-    dgamma = (path.derivative(t) if path.generator is None
-              else path.form @ path.generator(float(t)) @ mat)
-    form = SymmetricForm(kernel.T @ dgamma.T @ path.form @ kernel)
-    fscale = max(1.0, float(np.max(np.abs(form.entries))))
-    evals = np.linalg.eigvalsh(form.entries) if form.k else np.zeros(0)
-    tol = DEGENERATE_TOL * fscale
-    n_pos = int(np.sum(evals > tol))
-    n_neg = int(np.sum(evals < -tol))
-    n_zero = evals.size - n_pos - n_neg
-    if kind == "interior" and n_zero != background:
-        raise IrregularCrossingError(
-            f"crossing form at interior crossing t={t:.12f} has {n_zero} "
-            f"vanishing eigenvalue(s), expected {background}; "
-            f"perturb the generator (perturbed_path) and retry"
-        )
-    return Crossing(time=float(t), kernel_basis=kernel, form=form, sig=n_pos - n_neg, kind=kind)
-
-
-def _check_plateaus(path, ts, mats, kdims, background) -> None:
-    """Raise IrregularCrossingError unless the crossing form vanishes on the
-    kernel at every interior plateau sample whose kernel is the background."""
-    idx = np.flatnonzero((background > 0) & (kdims == background))
-    idx = idx[(idx > 0) & (idx < len(ts) - 1)]
-    if not idx.size:
-        return
-    _, svals, vt = np.linalg.svd(mats[idx] - np.eye(path.dim))
-    if path.generator is None:
-        dgamma = np.array([path.derivative(t) for t in ts[idx]])
-    else:  # interior samples of a segment are samples of the path
-        dgamma = path.fields[np.searchsorted(path.ts, ts[idx])] @ mats[idx]
-    forms = ((vt @ dgamma.transpose(0, 2, 1)) @ path.form) @ vt.transpose(0, 2, 1)
-    mask = _kernel_mask(svals)
-    worst = np.max(np.abs(forms) * (mask[:, :, None] & mask[:, None, :]), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(dgamma), axis=(1, 2)))
-    bad = np.flatnonzero(worst > VANISH_TOL * scale)
-    if bad.size:
-        raise IrregularCrossingError(
-            f"nonvanishing crossing form on singular plateau near "
-            f"t={ts[idx[bad[0]]]:.6f}; perturb the generator and retry"
-        )
-
-
-def _locate(path: SymplecticPath, lo: float, hi: float, background: int,
-            det_lo=None, divide=(0.0, 0)) -> float:
-    """Crossing time in the bracket [lo, hi], to TIME_TOL.
-
-    With ``det_lo``, det(Gamma - I) at lo, the determinant changes sign
-    over the bracket and is bisected.  Otherwise golden-section search
-    minimizes the product of the singular values of Gamma(t) - I above the
-    background, divided by |t - s|^d for ``divide`` = (s, d).  Unlike the
-    smallest singular value, the product still dips at a crossing of one
-    invariant block when another block passes close to the identity.
-    """
-    eye = np.eye(path.dim)
-    if det_lo is not None:
-        while hi - lo > TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            det = float(np.linalg.det(path.at(mid) - eye))
-            if det == 0.0:
-                return mid
-            if (det < 0) == (det_lo < 0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def product(t):
-        svals = np.linalg.svd(path.at(t) - eye, compute_uv=False)
-        return float(np.prod(svals[: path.dim - background])) / abs(t - divide[0]) ** divide[1]
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    f1, f2 = product(x1), product(x2)
-    while hi - lo > TIME_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = product(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = product(x2)
-    return 0.5 * (lo + hi)
+def _winding(path: SymplecticPath, a: float, b: float) -> HalfInteger:
+    """The index on [a, b] from the winding of D (see the module docstring)."""
+    _, g, _, steps, _ = _sampled(path, a, b)
+    start, end = _phase_sums(_phases(g[[0, -1]]))
+    return _twice(steps, start, end)
 
 
 def rs_index_segment(path: SymplecticPath, a: float = 0.0, b: float = 1.0) -> HalfInteger:
@@ -559,11 +430,6 @@ def rs_index_segment(path: SymplecticPath, a: float = 0.0, b: float = 1.0) -> Ha
     rs_index_segment(p, 0, c) + rs_index_segment(p, c, 1) equals rs_index(p).
     """
     return _winding(path, float(a), float(b))
-
-
-def rs_index_detailed(path: SymplecticPath):
-    """Index of the full path together with the list of crossings, by the crossing scan."""
-    return _segment_detailed(path, 0.0, 1.0)
 
 
 def rs_index(path: SymplecticPath) -> HalfInteger:
@@ -577,108 +443,92 @@ def rs_index(path: SymplecticPath) -> HalfInteger:
     return _winding(path, 0.0, 1.0)
 
 
-def _segment_detailed(path, a, b):
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError("need 0 <= a < b <= 1")
-    dim, eye = path.dim, np.eye(path.dim)
-    inside = (path.ts > a + 1e-14) & (path.ts < b - 1e-14)
-    ts = np.concatenate(([a], path.ts[inside], [b]))
-    if a == 0.0 and b == 1.0:
-        mats = np.concatenate((path.mats[:1], path.mats[inside], path.mats[-1:]))
-    else:
-        mats = np.array([path.at(t) for t in ts])
-    n = len(ts)
-    svals = np.linalg.svd(mats - eye, compute_uv=False)
-    det = np.linalg.det(mats - eye)
-    kdims = np.sum(svals <= CROSS_TOL, axis=1)
+def rs_index_detailed(path: SymplecticPath):
+    """Index of the full path and its crossings in time order, from the eigenphases of W.
 
-    # a plateau is a run of two or more singular samples; the kernel
-    # dimension it keeps throughout is its background
-    background = np.zeros(n, dtype=int)
-    bounds = np.flatnonzero(np.diff(np.concatenate(([0], kdims > 0, [0]))))
-    for i0, i1 in zip(bounds[::2], bounds[1::2]):
-        if i1 - i0 > 1:
-            background[i0:i1] = np.min(kdims[i0:i1])
-    _check_plateaus(path, ts, mats, kdims, background)
-    above = np.arange(dim) < dim - background[:, None]
-    product = np.prod(np.where(above, svals, 1.0), axis=1)
+    The index is ``rs_index``'s, and the crossings' contributions sum to it
+    (see the module docstring).
+    """
+    ts, g, dets, steps, graphs = _sampled(path, 0.0, 1.0)
+    phases = _phases(g)
+    sums = _phase_sums(phases)
+    value = _twice(steps, sums[0], sums[-1])
+    zeros = np.sum(np.abs(phases) <= END_TOL, axis=1)
+    counts = np.rint((2 * steps - np.diff(sums)) / np.pi).astype(int)
 
-    # candidates (see the module docstring).  A sample next to a plateau is
-    # no dip, and a plateau's edge is not bounded by the sample outside it;
-    # a sample next to a sign change leaves its crossing to the bisection;
-    # a regular end is a dip only when the product falls into it and is
-    # already small there (``low_end``)
-    ends = np.isin(np.arange(n), (0, n - 1))
-    endpoint = ends & (kdims > 0)
-    low_end = ends & ~endpoint & (product <= 0.05 * np.max(product))
-    bg0, bg1 = background[:-1], background[1:]
-    flips = np.append((det[:-1] * det[1:] < 0) & (bg0 == 0) & (bg1 == 0), False)
-    rise = np.diff(product)
-    dips = (
-        np.append((bg0 > bg1) | ((bg0 == bg1) & (rise >= 0)), True)
-        & np.insert((bg1 > bg0) | ((bg0 == bg1) & (rise <= 0)), 0, True)
-        & ~flips & ~np.insert(flips[:-1], 0, False)
-        & (background < dim) & (~ends | low_end)
-    )
+    # a state is (t, D, sum of s(phi), number of zero eigenphases) at one time
+    def sample(k):
+        return float(ts[k]), dets[k], sums[k], int(zeros[k])
 
-    crossings: list[Crossing] = []
-    halves = 0
-    taken = [a, b]
+    def state(t):
+        gt = graphs(path.at(t)[None])
+        ph = _phases(gt)
+        return t, _graph_dets(gt)[0], _phase_sums(ph)[0], int(np.sum(np.abs(ph) <= END_TOL))
 
-    def accept(lo, hi, bg, det_lo=None, divide=(0.0, 0)):
-        nonlocal halves
-        t = _locate(path, lo, hi, bg, det_lo, divide)
-        if min(abs(t - s) for s in taken) <= SEPARATION:
-            return
-        if divide[1] and abs(t - divide[0]) <= DIVIDED_GAP:
-            return  # the divided crossing's own small singular value
-        mat = path.at(t)
-        sigma = np.linalg.svd(mat - eye, compute_uv=False)[-(bg + 1)]
-        if sigma > 100 * CROSS_TOL:
-            return
-        if sigma > CROSS_TOL:
-            raise ResolutionError(
-                f"unresolved near-crossing at t={t:.9f} "
-                f"(sigma_min={sigma:.3e}); rebuild the path with finer sampling"
-            )
-        c = _crossing(path, t, mat, "interior", bg)
-        crossings.append(c)
-        taken.append(t)
-        halves += 2 * c.sig
-        research(t, c.kernel_basis.shape[1] - bg, bg)
+    def count(x, y):
+        return int(np.rint((2 * np.angle(y[1] / x[1]) - y[2] + x[2]) / np.pi))
 
-    def research(t, d, bg):
-        # a crossing within a few samples of the one at t can share its
-        # sampled dip; with that one's factor |t - t*|^d divided out it shows
-        # its own.  A low end is bounded by its one neighbour, for a crossing
-        # that shares the end interval
-        k = int(np.searchsorted(ts, t))
-        near = np.arange(max(k - 4, 0), min(k + 4, n))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rest = product[near] / np.abs(ts[near] - t) ** d
-        last = len(near) - 1
-        for i in range(last + 1):
-            if (i in (0, last) and not low_end[near[i]]) or background[near[i]] != bg:
-                continue
-            i0, i1 = max(i - 1, 0), min(i + 1, last)
-            if rest[i] <= min(rest[i0], rest[i1]):
-                accept(ts[near[i0]], ts[near[i1]], bg, divide=(t, d))
+    def pieces(x, y, c):
+        # the pieces of [x, y], at most TIME_TOL long, holding a passage, in time order
+        if c == 0 and x[3] == y[3]:
+            return []
+        if y[0] - x[0] <= TIME_TOL:
+            return [(x, y, c)]
+        mid = state(0.5 * (x[0] + y[0]))
+        left = count(x, mid)
+        return pieces(x, mid, left) + pieces(mid, y, c - left)
 
-    for k in np.flatnonzero(endpoint | dips | flips):
-        if endpoint[k]:
-            c = _crossing(path, ts[k], mats[k], "start" if k == 0 else "end")
-            crossings.append(c)
-            halves += c.sig
-            # a crossing in the last interval can hide in the end's dip
-            if k == n - 1 and c.kernel_basis.shape[1] > background[k]:
-                research(ts[k], c.kernel_basis.shape[1] - background[k], background[k])
-        if dips[k]:
-            accept(ts[max(k - 1, 0)], ts[min(k + 1, n - 1)], background[k])
-        if flips[k]:
-            accept(ts[k], ts[k + 1], background[k], det[k])
+    def located(x, y):
+        # bisect the sign of the eigenphase crossing within [x, y] into END_TOL
+        while True:
+            mid = state(0.5 * (x[0] + y[0]))
+            if mid[3] > x[3] or not x[0] < mid[0] < y[0]:
+                return mid
+            x, y = (x, mid) if count(x, mid) else (mid, y)
 
+    def entry(x, run, kind=None):
+        c = sum(p[2] for p in run)
+        if kind is None:
+            kind = "plateau" if sum(p[1][3] - p[0][3] for p in run) else "interior"
+        return Crossing(x[0], kind, int(c // 2 if kind == "interior" else c), x[3])
+
+    # passages out of the band just after a sample with zero eigenphases
+    # (departures) and into it just before one (arrivals) belong to that
+    # sample; the other passages of an interval pair up into crossings
+    departs, arrives, between = {}, {}, []
+    for k in np.flatnonzero((counts != 0) | (zeros[:-1] != zeros[1:])):
+        run, depth = [], 0
+        for p in pieces(sample(k), sample(k + 1), int(counts[k])):
+            rise = p[1][3] - p[0][3]
+            if not run and rise < 0 and zeros[k]:
+                departs.setdefault(k, []).append(p)
+            elif run or rise > 0:
+                run.append(p)
+                depth += rise
+                if depth <= 0:
+                    between.append(run)
+                    run, depth = [], 0
+            else:
+                between.append([p])
+        if run and zeros[k + 1]:
+            arrives[k + 1] = run
+        elif run:
+            between.append(run)
+
+    last = len(ts) - 1
+    crossings = [entry(sample(0), departs.get(0, []), "start")]
+    for k in sorted((departs.keys() | arrives.keys()) - {0, last}):
+        before, after = arrives.get(k, []), departs.get(k, [])
+        if before and after:
+            edge = sample(k)
+        else:
+            edge = after[0][0] if after else before[-1][1]
+        crossings.append(entry(edge, before + after))
+    if zeros[last]:
+        crossings.append(entry(sample(last), arrives.get(last, []), "end"))
+    crossings += [entry(located(run[0][0], run[-1][1]), run) for run in between]
     crossings.sort(key=lambda c: c.time)
-    return HalfInteger(halves), crossings
+    return value, crossings
 
 
 # -- constructors --------------------------------------------------------------
@@ -797,11 +647,12 @@ def path_from_generator(
 
 
 def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> SymplecticPath:
-    """Path generated by S(t) - delta * I, for resolving degenerate crossings.
+    """Path generated by S(t) - delta * I.
 
     For |delta| below the spectral scale of the asymptotic data, the index
-    shifts by -sgn(delta) * (dim of the endpoint eigenvalue-1 kernel) / 2.
-    Requires the input path to carry a generator.
+    shifts by -sgn(delta) * (dim of the endpoint eigenvalue-1 kernel) / 2;
+    acceptance criterion 2 checks that shift.  Requires the input path to
+    carry a generator.
     """
     if path.generator is None:
         raise MissingGeneratorError("perturbed_path requires a path with a generator")

@@ -6,16 +6,10 @@ on the standard complex structure
     J_m = [[0, -I_m], [I_m, 0]]
 
 on R^{2m} and the bilinear form omega_m(u, v) = u . (J_m v).  Matrices are
-dense; symmetric forms never exceed a few dozen dimensions, and the index
-engine in `rsindex` takes their signatures.
-
-All values are immutable after construction and safe to share across
-threads.
+dense and never exceed a few dozen dimensions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,25 +22,6 @@ def standard_jmat(m: int) -> np.ndarray:
     jmat[:m, m:] = -np.eye(m)
     jmat[m:, :m] = np.eye(m)
     return jmat
-
-
-@dataclass(frozen=True)
-class SymmetricForm:
-    """A k x k real symmetric matrix, symmetrized on construction."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"symmetric form must be square, got shape {a.shape}")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
 
 
 def symplectic_defect(mat, form: np.ndarray | None = None) -> float:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from rfhlab.grading import model_lambda_path
 from rfhlab.model import make_model
 from rfhlab.rsindex import (
+    END_TOL,
     HalfInteger,
-    IrregularCrossingError,
     ResolutionError,
     SymplecticPath,
+    _darboux_frame,
     _field_stack,
+    _phases,
     block_diag,
     conjugate_path,
     load_path_csv,
@@ -155,62 +157,36 @@ def test_block_diag_examples():
 
 def test_block_additivity_random_pairs():
     rng = np.random.default_rng(7)
-    done = 0
-    while done < 25:
+    for _ in range(25):
         angle = float(rng.uniform(-3 * np.pi, 3 * np.pi))
         p1 = rotation_path(1, angle, n_samples=385)
         a = random_symmetric(2, rng, 1.0)
         b = random_symmetric(2, rng, 1.0)
         p2 = path_from_generator(lambda t: a + np.sin(2 * np.pi * t) * b, 2, n_steps=384)
-        try:
-            lhs = rs_index(block_diag(p1, p2))
-            rhs = rs_index(p1) + rs_index(p2)
-        except (IrregularCrossingError, ResolutionError):
-            continue
-        assert lhs.twice_value == rhs.twice_value
-        done += 1
+        assert rs_index(block_diag(p1, p2)) == rs_index(p1) + rs_index(p2)
 
 
 def test_catenation_over_segments():
-    # restriction additivity: for a with no eigenvalue 1 at Gamma(a),
-    # the two segment indices (with half-weighted endpoint crossings)
-    # sum to the full index
+    # restriction additivity: the two segment indices, each with its end
+    # corrections, sum to the full index at every split time
     rng = np.random.default_rng(8)
-    done = 0
-    while done < 10:
+    for _ in range(10):
         a_mat = random_symmetric(2, rng, 2.0)
         b_mat = random_symmetric(2, rng, 1.0)
         p = path_from_generator(
             lambda t: a_mat + np.sin(2 * np.pi * t + 0.3) * b_mat, 2, n_steps=768
         )
-        a = 0.5
-        if np.linalg.svd(p.at(a) - np.eye(2), compute_uv=False)[-1] < 1e-3:
-            a = float(rng.uniform(0.35, 0.65))
-            if np.linalg.svd(p.at(a) - np.eye(2), compute_uv=False)[-1] < 1e-3:
-                continue
-        try:
-            total = rs_index(p)
-            head = rs_index_segment(p, 0.0, a)
-            tail = rs_index_segment(p, a, 1.0)
-        except (IrregularCrossingError, ResolutionError):
-            continue
-        assert (head + tail).twice_value == total.twice_value
-        done += 1
+        assert rs_index_segment(p, 0.0, 0.5) + rs_index_segment(p, 0.5, 1.0) == rs_index(p)
 
 
 def test_conjugation_invariance():
     rng = np.random.default_rng(9)
-    done = 0
-    while done < 10:
+    for _ in range(10):
         a = random_symmetric(2, rng, 1.5)
         b = random_symmetric(2, rng, 1.0)
         p = path_from_generator(lambda t: a + np.cos(2 * np.pi * t) * b, 2, n_steps=768)
         psi = random_symplectic(1, rng, 0.6)
-        try:
-            assert rs_index(p).twice_value == rs_index(conjugate_path(p, psi)).twice_value
-        except (IrregularCrossingError, ResolutionError):
-            continue
-        done += 1
+        assert rs_index(conjugate_path(p, psi)) == rs_index(p)
 
 
 def test_csv_roundtrip():
@@ -248,7 +224,7 @@ def test_csv_writes_each_entry_as_format_17g():
 def _touching_rotation(n_steps=1024):
     # angle 8*pi*t*(1-t) touches 2*pi at t = 1/2 with zero speed: the
     # interior crossing there has a full 2-dim kernel and an identically
-    # vanishing crossing form, which no local data can resolve
+    # vanishing crossing form
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def theta(t):
@@ -264,13 +240,21 @@ def _touching_rotation(n_steps=1024):
     return SymplecticPath(ts, np.array([ev(t) for t in ts]), generator=gen, evaluator=ev)
 
 
-def test_irregular_interior_crossing_raises_and_perturbation_resolves():
+def _contributions(crossings):
+    return sum((c.contribution for c in crossings), HalfInteger(0))
+
+
+def test_touching_path_lists_a_touch_of_signature_zero_and_perturbation_resolves():
     p = _touching_rotation()
     # the touch leaves the winding unmoved: the angle returns to 0, so the
-    # path is homotopic to the identity path with fixed endpoints
+    # path is homotopic to the identity path with fixed endpoints.  Both
+    # eigenphases of W touch 0 from below at the sample t = 1/2
     assert rs_index(p).twice_value == 0
-    with pytest.raises(IrregularCrossingError):
-        rs_index_detailed(p)
+    value, crossings = rs_index_detailed(p)
+    assert value.twice_value == 0 and _contributions(crossings) == value
+    assert [(c.kind, c.sig, c.kernel_dim) for c in crossings] == [
+        ("start", 2, 2), ("interior", 0, 2), ("end", -2, 2)]
+    assert crossings[1].time == 0.5
     # shifting the generator by -delta*I resolves the touch.  For
     # delta > 0 the perturbed angle 8 pi t (1-t) - delta t never reaches
     # 2 pi but re-crosses zero just before t = 1 with negative speed
@@ -303,8 +287,9 @@ def test_unipotent_background_path_is_regular():
     assert kinds == [("end", -1), ("interior", 1), ("start", -1)]
 
 
-def test_resolution_error_on_ambiguous_near_crossing():
-    # closest approach to the identity is ~1e-7, inside the ambiguity band
+def test_near_touch_lists_no_interior_crossing():
+    # the closest approach to the identity, ~1e-7, leaves every eigenphase
+    # of W outside END_TOL
     gap = 1e-7
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -319,8 +304,9 @@ def test_resolution_error_on_ambiguous_near_crossing():
     p = SymplecticPath(ts, np.array([ev(t) for t in ts]), evaluator=ev)
     # the angle returns to 0, so the index is that of the identity path
     assert rs_index(p).twice_value == 0
-    with pytest.raises(ResolutionError):
-        rs_index_detailed(p)
+    value, crossings = rs_index_detailed(p)
+    assert value.twice_value == 0 and _contributions(crossings) == value
+    assert [(c.kind, c.sig) for c in crossings] == [("start", 2), ("end", -2)]
 
 
 def test_path_validation():
@@ -350,7 +336,7 @@ def _csv_copy(path, form=None):
 
 def _late_rotation():
     # the identity up to t = 0.3, then the angle 20 (t - 0.3)^2: a plateau
-    # that ends inside the path leaves no crossing at its edge
+    # that ends inside the path, whose eigenphases leave 0 upwards there
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def ev(t):
@@ -381,8 +367,11 @@ CROSSING_PANEL = {
     "theta-1e-3": (
         lambda: perturbed_path(theta_path(TWO_PI, 1.0, 1.0), -1e-3), 2, [("start", 2, 0.0)],
     ),
+    # the plateau exit is listed where the eigenphases 20 (t - 0.3)^2 pass
+    # END_TOL, 7e-6 after t = 0.3 (the panel test allows 1e-4 there)
     "late-rotation": (
-        _late_rotation, 4, [("start", 0, 0.0), ("interior", 2, 0.3 + np.sqrt(np.pi / 10))],
+        _late_rotation, 6,
+        [("start", 0, 0.0), ("plateau", 2, 0.3), ("interior", 2, 0.3 + np.sqrt(np.pi / 10))],
     ),
     "rotation-join": (
         lambda: block_diag(rotation_path(1, 6.5, 385), rotation_path(1, 6.55, 385)), 12,
@@ -398,14 +387,13 @@ def test_crossing_panel(name):
     assert value.twice_value == twice
     assert [(c.kind, c.sig) for c in crossings] == [(kind, sig) for kind, sig, _ in expected]
     times = np.array([c.time for c in crossings])
-    assert np.max(np.abs(times - [t for _, _, t in expected])) <= 1e-8
+    tols = [1e-4 if kind == "plateau" else 1e-8 for kind, _, _ in expected]
+    assert np.all(np.abs(times - [t for _, _, t in expected]) <= tols)
 
 
 @pytest.mark.parametrize("a1, a2", [(6.53, 6.56), (-8.15, -8.13)])
 def test_close_crossings_of_two_blocks_are_both_found(a1, a2):
-    # the two crossings lie within two sample intervals and show as one
-    # sampled dip of |det(Gamma - I)|; the second is found with the first
-    # divided out
+    # the two crossings lie within two sample intervals
     joint = block_diag(rotation_path(1, a1, 385), rotation_path(1, a2, 385))
     assert rs_index(joint).twice_value == 2 * (_rotation_index(1, a1) + _rotation_index(1, a2))
 
@@ -413,8 +401,7 @@ def test_close_crossings_of_two_blocks_are_both_found(a1, a2):
 @pytest.mark.parametrize("gap", [5e-8, -5e-8])
 def test_turns_ending_next_to_the_identity(gap):
     # Gamma(1) is 5e-8 from the identity, so the end is no crossing; one
-    # turn and a little more crosses 8e-9 before the end, which counts,
-    # while the end interval's dip just short of a turn lies at the end
+    # turn and a little more crosses 8e-9 before the end, which counts
     angle = 2 * np.pi + gap
     assert rs_index(rotation_path(1, angle)).twice_value == 2 * _rotation_index(1, angle)
 
@@ -441,6 +428,7 @@ def _angle(size, negative):
 
 
 @settings(max_examples=80, deadline=None)
+@example(m=1, size=1.5294913529348413, negative=False)  # LAPACK stalled on W(1)
 @rotations
 def test_rotation_index_closed_form(m, size, negative):
     angle = _angle(size, negative)
@@ -456,7 +444,10 @@ def test_rotation_index_closed_form_through_csv(m, size, negative):
 
 @pytest.mark.parametrize("angle", [1e-8, 1e-7, 1e-6, -1e-6, 4e-6])
 def test_slow_rotation_index_is_its_sign(angle):
-    assert rs_index(rotation_path(1, angle)) == HalfInteger.whole(int(np.sign(angle)))
+    path = rotation_path(1, angle)
+    assert rs_index(path) == HalfInteger.whole(int(np.sign(angle)))
+    value, crossings = rs_index_detailed(path)
+    assert value == rs_index(path) == _contributions(crossings)
 
 
 # -- the propagator engine of path_from_generator ------------------------------------
@@ -677,8 +668,8 @@ def _free_path(seed, m=1, n_steps=1024):
     return path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase) * b, 2 * m, n_steps=n_steps)
 
 
-# joined with a theta block, the crossing scan read these free paths wrong:
-# a crossing 1.4 to 3.5 samples after the start went missing on the plateau
+# free paths with a crossing 1.4 to 3.5 samples after the start, which
+# joined with a theta block sits on the theta block's plateau
 @settings(max_examples=25, deadline=None)
 @example(seed=639, block=("theta", 0.0, 1.0, 1.0, False))
 @example(seed=872, block=("theta", 0.0, 1.0, 1.0, False))
@@ -715,8 +706,8 @@ def test_conjugation_invariance_of_generator_paths(seed, block, scale):
     assert rs_index(conjugate_path(path, psi)).twice_value == twice
 
 
-# -- the winding engine of rs_index against the crossing scan, homotopy
-# invariance and the work it does -----------------------------------------------
+# -- the crossing list against the winding, homotopy invariance and the
+# work rs_index does ---------------------------------------------------------------
 
 
 def _drawn_path(blocks, n_steps):
@@ -725,54 +716,57 @@ def _drawn_path(blocks, n_steps):
     return parts[0] if len(parts) == 1 else block_diag(*parts)
 
 
-def _scan(path):
-    try:
-        return rs_index_detailed(path)[0]
-    except (IrregularCrossingError, ResolutionError):
-        return None
+def _eigenphases(path, t):
+    # eigenphases of W(t), with Gamma(t) taken into a Darboux frame of the form
+    frame = _darboux_frame(path.form)
+    mat = path.at(t) if frame is None else np.linalg.solve(frame, path.at(t) @ frame)
+    return _phases(mat[None])[0]
 
 
 @settings(max_examples=40, deadline=None)
 @example(blocks=[("free", 3, 1024), ("free", 3, 1024)])  # a join of a path with itself
-# a crossing 2.4e-5 before the end of the free block, lost next to the theta block
+# a crossing 2.4e-5 before the end of the free block, next to the theta block
 @example(blocks=[("free", 2, 2753752032), ("theta", -0.4666693446117236, 1.690401947598155,
                                           1.945976326026717, False)])
 @given(blocks=st.lists(st.one_of(
     closed_forms,
     st.tuples(st.just("free"), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1)),
 ), min_size=1, max_size=2))
-def test_winding_equals_the_crossing_scan_wherever_the_scan_answers(blocks):
+def test_crossing_list_sums_to_the_index_at_zero_eigenphases(blocks):
     path = _drawn_path(blocks, 1024)
-    scan = _scan(path)
-    assume(scan is not None)
-    value = rs_index(path)
-    if value != scan:
-        # the scan misses crossings next to an end, most often in joins
-        # (CHANGES.md lists them).  Where the engines differ, the winding
-        # holds on a 16x finer grid, and there it equals the scan of the
-        # path or the sum of the scans of its blocks, where those answer
-        finer = [_drawn_path([block], 16384) for block in blocks]
-        joint = finer[0] if len(finer) == 1 else block_diag(*finer)
-        assert rs_index(joint) == value
-        scans = [_scan(part) for part in finer]
-        answers = {_scan(joint), None if None in scans else sum(scans, HalfInteger(0))} - {None}
-        assert not answers or value in answers
+    value, crossings = rs_index_detailed(path)
+    assert value == rs_index(path) == _contributions(crossings)
+    interior = [c.time for c in crossings if c.kind == "interior"]
+    if interior:
+        closest = np.min(np.abs(np.array([_eigenphases(path, t) for t in interior])), axis=1)
+        assert np.all(closest <= END_TOL)
+
+
+def test_fast_crossings_are_located_at_zero_eigenphases():
+    # the eigenphases turn at 100 rad per unit time and stay within END_TOL
+    # for 2e-11, less than TIME_TOL: each crossing is bisected into the band
+    value, crossings = rs_index_detailed(rotation_path(1, 100.0, 2049))
+    interior = [c for c in crossings if c.kind == "interior"]
+    assert value.twice_value == 2 * _rotation_index(1, 100.0)
+    assert [(c.sig, c.kernel_dim) for c in interior] == [(2, 2)] * 15
+    times = np.array([c.time for c in interior])
+    assert np.max(np.abs(times - TWO_PI / 100 * np.arange(1, 16))) <= 1e-10
 
 
 def test_a_crossing_in_the_first_sample_interval_counts():
     # S(0) has signature 2 with a small eigenvalue 1.6e-3, whose eigenphase
     # of W turns back through 0 at t = 0.00058, inside the first of 1024
-    # steps; the scan finds that crossing only on a finer grid
-    path = _free_path(1877821423, 3)
-    assert rs_index(path).twice_value == 0
-    finer = path_from_generator(path.generator, 6, n_steps=4096)
-    assert rs_index_detailed(finer)[0].twice_value == 0
+    # steps: the start and that crossing are listed apart
+    value, crossings = rs_index_detailed(_free_path(1877821423, 3))
+    assert value.twice_value == 0
+    assert [(c.kind, c.sig, c.kernel_dim) for c in crossings] == [("start", 2, 6), ("interior", -1, 1)]
+    assert abs(crossings[1].time - 0.00058) < 1e-5
 
 
 @pytest.mark.parametrize("name", sorted(CROSSING_PANEL))
 def test_rs_index_gives_the_panel_values(name):
     # the late rotation reparametrizes the rotation by 9.8, whose twice
-    # index is 6; the scan does not count its plateau exit and reads 4
+    # index is 6
     build, twice, _ = CROSSING_PANEL[name]
     assert rs_index(build()).twice_value == (6 if name == "late-rotation" else twice)
 
@@ -803,7 +797,7 @@ def test_index_is_invariant_under_homotopies_with_fixed_endpoints(angle):
 
 @pytest.mark.parametrize("angle", [14.25, 15.0, 15.25, 15.5])
 def test_fast_constant_generator_on_384_steps_gives_the_closed_form(angle):
-    # the crossing scan raised ResolutionError on these Hermite dense outputs
+    # fast turns on the Hermite dense output of 384 steps
     path = path_from_generator(lambda t: angle * np.eye(2), 2, n_steps=384)
     assert rs_index(path).twice_value == 2 * _rotation_index(1, angle)
 
