@@ -2,7 +2,7 @@
 
 Builds a small instance by hand, verifies the boundary squares to zero,
 reduces homology over GF(2), and inverts a triangular unit-diagonal chain
-map row by row in action order.
+map exactly.
 """
 
 import io

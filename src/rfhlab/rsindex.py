@@ -57,6 +57,7 @@ has to be regular.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -330,6 +331,19 @@ def _darboux_frame(form: np.ndarray) -> np.ndarray | None:
     return np.column_stack(es + fs)
 
 
+@functools.lru_cache(maxsize=16)
+def _frames(form_bytes: bytes, shape: tuple) -> tuple:
+    """(E, E^-1) from `_darboux_frame` as read-only arrays, or (None, None),
+    for the float form with these bytes and shape; paths share few forms."""
+    frame = _darboux_frame(np.frombuffer(form_bytes).reshape(shape))
+    if frame is None:
+        return None, None
+    inverse = np.linalg.inv(frame)
+    frame.setflags(write=False)
+    inverse.setflags(write=False)
+    return frame, inverse
+
+
 def _graph_dets(g: np.ndarray) -> np.ndarray:
     """D = det((G_xy - G_yx) + i (G_xx + G_yy)) for a stack of G in J_m form."""
     m = g.shape[-1] // 2
@@ -370,8 +384,7 @@ def _sampled(path: SymplecticPath, a: float, b: float):
     stack of Gamma to its stack of G."""
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
-    frame = _darboux_frame(path.form)
-    inverse = None if frame is None else np.linalg.inv(frame)
+    frame, inverse = _frames(path.form.tobytes(), path.form.shape)
 
     def graphs(mats):
         return mats if frame is None else inverse @ mats @ frame

@@ -8,14 +8,16 @@ are read-only views derived on each read.  Boundary entries obey the
 filtration rule action(to) <= action(from) and, when both degrees are
 present, degree(to) = degree(from) - 1.  A chain map has a unit diagonal
 and off-diagonal entries that strictly lower the action, so its matrix is
-I + N with N strictly lower triangular, and is invertible row by row.
+I + N with N strictly lower triangular, and is invertible.
 
 Linear algebra is dense GF(2).  Matrices cross the API as numpy uint8
-arrays.  Triangular inversion and elimination hold each row as
-little-endian uint64 words (64 columns per word) and act with one
-vectorized XOR per row operation, after Albrecht, Bard & Hart, "Algorithm
-898", ACM TOMS 37(1) (2010).  Products are float64 BLAS products reduced
-mod 2, exact while the inner dimension stays below 2**53.
+arrays.  Products are float32 BLAS products reduced mod 2, exact while
+the inner dimension stays below 2**24.  Triangular inversion is block
+recursive on such products, with the doubling product
+(I + N)(I + N^2)(I + N^4)... on diagonal blocks of at most 64 rows.
+Only elimination holds each row as little-endian uint64 words (64
+columns per word) and acts with one vectorized XOR per row operation,
+after Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1) (2010).
 """
 
 from __future__ import annotations
@@ -181,9 +183,15 @@ def boundary_apply(c: FilteredZ2Complex | ChainMapMatrix, eps) -> set:
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of 0/1 matrices over GF(2); the float64 sums are exact while
-    the inner dimension is below 2**53."""
-    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
+    """Product of 0/1 matrices over GF(2): a float32 BLAS product reduced
+    mod 2, exact while the inner dimension is below 2**24 (every partial
+    sum is an integer no larger than it)."""
+    return _parity(a.astype(np.float32) @ b.astype(np.float32), np.uint8)
+
+
+def _parity(x: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """x mod 2 for a float32 array of exact nonnegative integers."""
+    return (x.astype(np.int32) & 1).astype(dtype)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -195,17 +203,45 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
+# largest diagonal block that _invert_unit_lower inverts without splitting
+_LEAF = 64
+
+
 def _tri_inverse(nil: np.ndarray) -> np.ndarray:
     """(I + N)^-1 over GF(2) for N the strictly lower triangle of nil (the
-    diagonal and above are not read): row i is e_i xor the rows j < i with
-    N[i, j] = 1, built in order on packed rows."""
-    size = len(nil)
-    x = _pack(np.eye(size, dtype=np.uint8))
-    for i in range(size):
-        below = np.flatnonzero(nil[i, :i])
-        if below.size:
-            x[i] ^= np.bitwise_xor.reduce(x[below], axis=0)
-    return np.unpackbits(x.view(np.uint8), axis=1, count=size, bitorder="little")
+    diagonal and above are not read), by `_invert_unit_lower` on a float32
+    copy."""
+    work = np.array(nil, dtype=np.float32)
+    _invert_unit_lower(work)
+    return work.astype(np.uint8)
+
+
+def _invert_unit_lower(work: np.ndarray) -> None:
+    """Overwrite a float32 0/1 matrix whose strictly lower triangle is N
+    with (I + N)^-1 over GF(2).
+
+    Block recursion: [[A, 0], [C, B]]^-1 = [[A^-1, 0], [B^-1 C A^-1, B^-1]]
+    over GF(2), where C is still the lower-left block of work after both
+    diagonal blocks are inverted in place.  A block of at most _LEAF rows
+    takes the doubling product (I + N)^-1 = (I + N)(I + N^2)(I + N^4)...,
+    which ends once the power of the nilpotent N is zero.
+    """
+    size = len(work)
+    if size <= _LEAF:
+        nil = np.tril(work, -1)
+        inv = nil + np.eye(size, dtype=np.float32)
+        power = _parity(nil @ nil)
+        while power.any():
+            inv = _parity(inv @ power + inv)
+            power = _parity(power @ power)
+        work[:] = inv
+        return
+    half = size // 2
+    top, bottom = work[:half, :half], work[half:, half:]
+    _invert_unit_lower(top)
+    _invert_unit_lower(bottom)
+    work[:half, half:] = 0
+    work[half:, :half] = _parity(bottom @ _parity(work[half:, :half] @ top))
 
 
 def gf2_rank(m: np.ndarray) -> int:
@@ -382,10 +418,9 @@ def random_filtered_complex(rng: np.random.Generator, n_gens: int = 12) -> Filte
 
 def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float = 0.3):
     """Random unit-diagonal triangular chain-map matrix on fresh generators."""
-    gens = [
-        Generator(id=f"g{i}", degree=int(rng.integers(0, 3)), action=float(i) + 1.0)
-        for i in range(n_gens)
-    ]
+    degrees = rng.integers(0, 3, size=n_gens).tolist()
+    gens = [Generator(id=f"g{i}", degree=deg, action=float(i) + 1.0)
+            for i, deg in enumerate(degrees)]
     # action of g{i} is higher than g{j} for i > j: one draw per pair
     # (g{i}, g{j}), row-major; g{i} ranks n_gens - 1 - i in canonical order
     rows, cols = np.tril_indices(n_gens, -1)

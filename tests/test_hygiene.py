@@ -49,14 +49,16 @@ def _dotted(node) -> str:
     return ""
 
 
-def wasteful_calls(source: str, per_sample: bool) -> list[str]:
+def wasteful_calls(source: str, per_sample: bool, gf2: bool = False) -> list[str]:
     """Calls that do wasted work on every call.
 
     Anywhere: ``einsum`` told to search a contraction path (optimize=True or
     a strategy name), a search repeated on every call.  In the per-sample
     kernels (``per_sample``): ``np.roll``, two copies where slices do, and
     ``np.linalg.norm`` over an axis, a general reduction where
-    ``model.radius`` gives the same floats.
+    ``model.radius`` gives the same floats.  In the GF(2) kernels (``gf2``):
+    ``astype(np.float64)`` and ``astype(np.int64)``, twice the bytes of the
+    float32 and int32 that hold 0/1 sums exactly below 2**24.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -72,6 +74,9 @@ def wasteful_calls(source: str, per_sample: bool) -> list[str]:
             found.append(f"line {node.lineno}: np.roll")
         if per_sample and name == "np.linalg.norm" and ("axis" in keywords or len(node.args) >= 3):
             found.append(f"line {node.lineno}: np.linalg.norm over an axis")
+        cast = isinstance(node.func, ast.Attribute) and node.func.attr == "astype" and node.args
+        if gf2 and cast and _dotted(node.args[0]) in ("np.float64", "np.int64"):
+            found.append(f"line {node.lineno}: astype({_dotted(node.args[0])})")
     return found
 
 
@@ -90,11 +95,17 @@ def test_wasteful_calls_are_found():
         "line 6: einsum(..., optimize='greedy')"]
     assert wasteful_calls(source, per_sample=False) == [
         "line 5: np.einsum(..., optimize=True)", "line 6: einsum(..., optimize='greedy')"]
+    casts = ("p = (a.astype(np.float64) @ b).astype(np.int64) & 1\n"
+             "q = a.astype(np.float32).astype(np.int32)\nr = np.float64(a)\n")
+    assert wasteful_calls(casts, per_sample=False, gf2=True) == [
+        "line 1: astype(np.int64)", "line 1: astype(np.float64)"]
+    assert wasteful_calls(casts, per_sample=False) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_wasteful_calls(path):
-    assert wasteful_calls(path.read_text(), per_sample=path.name in PER_SAMPLE) == []
+    assert wasteful_calls(path.read_text(), per_sample=path.name in PER_SAMPLE,
+                          gf2=path.name == "z2complex.py") == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -565,6 +565,25 @@ def test_model_lambda_path_index_makes_no_per_sample_generator_call(n):
         assert len(calls) < 10 < path.n_samples
 
 
+def test_darboux_frame_is_built_once_per_form(monkeypatch):
+    from rfhlab import rsindex
+
+    built = []
+
+    def spy(form):
+        built.append(form.shape)
+        return _darboux_frame(form)
+
+    monkeypatch.setattr(rsindex, "_darboux_frame", spy)
+    rsindex._frames.cache_clear()
+    theta = theta_path(TWO_PI, 1.0, 1.0)
+    below, above = perturbed_path(theta, 1e-3), perturbed_path(theta, -1e-3)
+    assert [rs_index(p).twice_value for p in (below, above, below)] == [-2, 2, -2]
+    assert built == [(4, 4)]
+    frame, inverse = rsindex._frames(theta.form.tobytes(), theta.form.shape)
+    assert not frame.flags.writeable and not inverse.flags.writeable
+
+
 def test_perturbed_path_builds_through_the_module_global(monkeypatch):
     from rfhlab import rsindex
 

@@ -419,6 +419,34 @@ def test_tri_inverse_matches_neumann_series(n):
     assert np.array_equal(inv, ref_neumann_inverse(nil ^ np.eye(n, dtype=np.uint8)))
 
 
+def _check_tri_inverse(nil):
+    """_tri_inverse(nil) X satisfies (I + N) X = I for N the strictly lower
+    triangle of nil; the diagonal and above hold noise it must not read."""
+    n = len(nil)
+    eye = np.eye(n, dtype=np.uint8)
+    inv = _tri_inverse(nil)
+    assert inv.dtype == np.uint8
+    assert np.array_equal(ref_gf2_matmul(np.tril(nil, -1) | eye, inv), eye)
+
+
+@pytest.mark.parametrize("n", [0, 31, 32, 33, 127, 128, 129, 511, 512, 513])
+def test_tri_inverse_at_block_edges(n):
+    _check_tri_inverse(np.random.default_rng(6000 + n).integers(0, 2, (n, n), dtype=np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 200), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_tri_inverse_solves_the_triangular_system(n, density, seed):
+    _check_tri_inverse((np.random.default_rng(seed).random((n, n)) < density).astype(np.uint8))
+
+
+@pytest.mark.parametrize("inner", [255, 256, 257, 4097])
+def test_gf2_matmul_of_ones_past_a_byte(inner):
+    got = gf2_matmul(np.ones((3, inner), dtype=np.uint8), np.ones((inner, 5), dtype=np.uint8))
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.full((3, 5), inner % 2, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_gf2_matmul_matches_integer_product(n):
     rng = np.random.default_rng(3000 + n)
