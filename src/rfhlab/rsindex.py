@@ -224,7 +224,7 @@ class SymplecticPath:
         if np.max(np.abs(mats[0] - np.eye(self.dim))) > 1e-12:
             raise ValueError("path must start at the identity")
         probe = mats[:: max(1, ts.size // 64)]
-        defects = np.einsum("nji,jk,nkl->nil", probe, self.form, probe) - self.form
+        defects = probe.transpose(0, 2, 1) @ self.form @ probe - self.form
         worst = float(np.max(np.abs(defects)))
         if worst > self.tol:
             raise ValueError(
@@ -737,7 +737,7 @@ def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
     if symplectic_defect(psi, path.form) > 1e-7:
         raise ValueError("conjugating matrix must be symplectic for the path's form")
     psi_inv = np.linalg.inv(psi)
-    mats = np.einsum("ij,njk,kl->nil", psi, path.mats, psi_inv)
+    mats = psi @ path.mats @ psi_inv
 
     evaluator = None
     if path.evaluator is not None or path.generator is not None:

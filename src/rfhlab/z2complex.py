@@ -15,9 +15,12 @@ arrays.  Products are float32 BLAS products reduced mod 2, exact while
 the inner dimension stays below 2**24.  Triangular inversion is block
 recursive on such products, with the doubling product
 (I + N)(I + N^2)(I + N^4)... on diagonal blocks of at most 64 rows.
-Only elimination holds each row as little-endian uint64 words (64
-columns per word) and acts with one vectorized XOR per row operation,
-after Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 37(1) (2010).
+Rank is panel elimination: per 64-column panel, each active row holds its
+panel bits and the record of pivot rows XORed into it as two uint64
+words, and one float32 product of the records updates the trailing columns
+(Albrecht, Bard & Pernet, arXiv:1111.6549; Albrecht, Bard & Hart,
+"Algorithm 898", ACM TOMS 37(1) (2010)).  Homology ranks each boundary
+block d_k : C_k -> C_{k-1} once.
 """
 
 from __future__ import annotations
@@ -194,15 +197,6 @@ def _parity(x: np.ndarray, dtype=np.float32) -> np.ndarray:
     return (x.astype(np.int32) & 1).astype(dtype)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix as little-endian uint64 words, bit j of word w
-    holding column 64 w + j."""
-    rows, cols = bits.shape
-    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 # largest diagonal block that _invert_unit_lower inverts without splitting
 _LEAF = 64
 
@@ -244,24 +238,59 @@ def _invert_unit_lower(work: np.ndarray) -> None:
     work[half:, :half] = _parity(bottom @ _parity(work[half:, :half] @ top))
 
 
+# width of an elimination panel: one uint64 word of columns per row
+_PANEL = 64
+_SHIFTS = np.arange(_PANEL, dtype=np.uint64)
+_BITS = np.left_shift(np.uint64(1), _SHIFTS)
+
+
+def _panel_words(bits: np.ndarray) -> np.ndarray:
+    """Each row's first (at most 64) columns as one little-endian uint64,
+    bit j holding column j."""
+    packed = np.zeros((len(bits), 8), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")[:, 0]
+
+
 def gf2_rank(m: np.ndarray) -> int:
-    """Rank over GF(2) by row reduction on packed rows: each pivot column
-    costs one vectorized XOR into the remaining rows that hold its bit."""
-    x = _pack(np.asarray(m, dtype=np.uint8) % 2)
-    rows, cols = np.shape(m)
+    """Rank over GF(2) by panel elimination on the taller orientation.
+
+    Each panel of 64 columns holds, per active row, its panel bits in one
+    uint64 word and, in a second word, the pivot rows XORed into it.  Every
+    pivot column clears its bit from the other non-pivot rows with one
+    masked XOR on each word.  The non-pivot rows then leave the panel zero,
+    and their trailing columns take one product of the 0/1 records with the
+    pivot rows' trailing columns (the PLE scheme of Albrecht, Bard &
+    Pernet, arXiv:1111.6549).  The pivot rows drop out before the next panel.
+    """
+    a = np.asarray(m, dtype=np.uint8) % 2
+    if a.shape[0] < a.shape[1]:
+        a = a.T
     rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        w, bit = divmod(col, 64)
-        rest = x[rank:]
-        hits = np.flatnonzero(rest[:, w] & np.uint64(1 << bit))
-        if hits.size == 0:
-            continue
-        pivot = rest[hits[0], w:].copy()
-        rest[hits[1:], w:] ^= pivot
-        rest[[0, hits[0]]] = rest[[hits[0], 0]]
-        rank += 1
+    while a.size:
+        word = _panel_words(a[:, :_PANEL])
+        record = np.zeros_like(word)
+        seen = int(np.bitwise_or.reduce(word))
+        pivots = []
+        for j in range(min(_PANEL, a.shape[1])):
+            if not seen >> j & 1:
+                continue
+            hit = word >> _SHIFTS[j] & _BITS[0]
+            p = hit.argmax()
+            if not hit[p]:
+                continue
+            word ^= hit * word[p]
+            record ^= hit * (record[p] | _BITS[len(pivots)])
+            pivots.append(p)
+        rank += len(pivots)
+        rest = np.ones(len(a), dtype=bool)
+        rest[pivots] = False
+        trail = a[rest, _PANEL:]
+        if pivots and trail.size:
+            mix = np.unpackbits(record[rest].view(np.uint8).reshape(-1, 8), axis=1,
+                                bitorder="little")[:, : len(pivots)]
+            trail ^= gf2_matmul(mix, a[pivots, _PANEL:])
+        a = trail
     return rank
 
 
@@ -273,7 +302,9 @@ def verify_d_squared(c: FilteredZ2Complex):
 
 
 def homology(c: FilteredZ2Complex) -> dict:
-    """Z2 Betti numbers per degree (requires d^2 = 0).
+    """Z2 Betti numbers per degree (requires d^2 = 0): dim C_k - rank d_k
+    - rank d_{k+1}, where each boundary block d_k : C_k -> C_{k-1} is
+    ranked once and an empty block counts rank 0 without elimination.
 
     Generators without a degree are collected under the key None and
     contribute dim ker - dim im as a single number.
@@ -281,17 +312,19 @@ def homology(c: FilteredZ2Complex) -> dict:
     ok, witness = verify_d_squared(c)
     if not ok:
         raise ValueError(f"boundary does not square to zero (witness {witness})")
-    degs = [g.degree for g in _ranked(c.generators)]
+    at = {}
+    for i, g in enumerate(_ranked(c.generators)):
+        at.setdefault(g.degree, []).append(i)
 
-    def block(to_deg, from_deg):
-        rows = [i for i, k in enumerate(degs) if k == to_deg]
-        cols = [i for i, k in enumerate(degs) if k == from_deg]
-        return gf2_rank(c.matrix[np.ix_(rows, cols)])
+    def rank(to_deg, from_deg):
+        rows, cols = at.get(to_deg, []), at.get(from_deg, [])
+        return gf2_rank(c.matrix[np.ix_(rows, cols)]) if rows and cols else 0
 
-    out = {k: degs.count(k) - block(k - 1, k) - block(k, k + 1)
-           for k in sorted({k for k in degs if k is not None})}
-    if None in degs:
-        out[None] = degs.count(None) - 2 * block(None, None)
+    graded = sorted(k for k in at if k is not None)
+    d = {k: rank(k - 1, k) for k in set(graded) | {k + 1 for k in graded}}
+    out = {k: len(at[k]) - d[k] - d[k + 1] for k in graded}
+    if None in at:
+        out[None] = len(at[None]) - 2 * rank(None, None)
     return out
 
 
@@ -422,9 +455,9 @@ def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float
     gens = [Generator(id=f"g{i}", degree=deg, action=float(i) + 1.0)
             for i, deg in enumerate(degrees)]
     # action of g{i} is higher than g{j} for i > j: one draw per pair
-    # (g{i}, g{j}), row-major; g{i} ranks n_gens - 1 - i in canonical order
-    rows, cols = np.tril_indices(n_gens, -1)
-    keep = rng.random(rows.size) < density
-    p = np.eye(n_gens, dtype=np.uint8)
-    p[n_gens - 1 - cols[keep], n_gens - 1 - rows[keep]] = 1
+    # (g{i}, g{j}), row-major over the strict lower triangle; g{i} ranks
+    # n_gens - 1 - i in canonical order
+    full = np.zeros((n_gens, n_gens), dtype=np.uint8)
+    full[np.tri(n_gens, k=-1, dtype=bool)] = rng.random(n_gens * (n_gens - 1) // 2) < density
+    p = np.eye(n_gens, dtype=np.uint8) | full[::-1, ::-1].T
     return ChainMapMatrix.from_matrix(gens, p)

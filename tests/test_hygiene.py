@@ -53,7 +53,9 @@ def wasteful_calls(source: str, per_sample: bool, gf2: bool = False) -> list[str
     """Calls that do wasted work on every call.
 
     Anywhere: ``einsum`` told to search a contraction path (optimize=True or
-    a strategy name), a search repeated on every call.  In the per-sample
+    a strategy name), a search repeated on every call, and ``einsum`` on
+    three or more array operands, which contracts them in one naive loop
+    where chained ``@`` products run on BLAS.  In the per-sample
     kernels (``per_sample``): ``np.roll``, two copies where slices do, and
     ``np.linalg.norm`` over an axis, a general reduction where
     ``model.radius`` gives the same floats.  In the GF(2) kernels (``gf2``):
@@ -70,6 +72,9 @@ def wasteful_calls(source: str, per_sample: bool, gf2: bool = False) -> list[str
         if (name.split(".")[-1] == "einsum" and isinstance(optimize, ast.Constant)
                 and (optimize.value is True or isinstance(optimize.value, str))):
             found.append(f"line {node.lineno}: {name}(..., optimize={optimize.value!r})")
+        operands = [a for a in node.args if not isinstance(a, (ast.Constant, ast.List, ast.Tuple))]
+        if name.split(".")[-1] == "einsum" and len(operands) >= 3:
+            found.append(f"line {node.lineno}: {name} on {len(operands)} operands")
         if per_sample and name == "np.roll":
             found.append(f"line {node.lineno}: np.roll")
         if per_sample and name == "np.linalg.norm" and ("axis" in keywords or len(node.args) >= 3):
@@ -100,6 +105,10 @@ def test_wasteful_calls_are_found():
     assert wasteful_calls(casts, per_sample=False, gf2=True) == [
         "line 1: astype(np.int64)", "line 1: astype(np.float64)"]
     assert wasteful_calls(casts, per_sample=False) == []
+    chains = ("u = np.einsum('nji,jk,nkl->nil', p, f, p)\nv = np.einsum('ij,jk', a, b)\n"
+              "w = einsum(a, [0, 1], b, [1, 2], c, [2, 3])\nx = a.transpose(0, 2, 1) @ f @ a\n")
+    assert wasteful_calls(chains, per_sample=False) == [
+        "line 1: np.einsum on 3 operands", "line 3: einsum on 3 operands"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

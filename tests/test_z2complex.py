@@ -390,6 +390,63 @@ def test_homology_rejects_nonzero_square_with_witness():
         homology(bad)
 
 
+def _degree_blocks(c):
+    """Degrees of the canonical order and the block d_k : C_k -> C_{k-1}."""
+    degs = [g.degree for g in sorted(c.generators, key=lambda g: (-g.action, g.id))]
+
+    def block(to_deg, from_deg):
+        rows = [i for i, k in enumerate(degs) if k == to_deg]
+        cols = [i for i, k in enumerate(degs) if k == from_deg]
+        return c.matrix[np.ix_(rows, cols)]
+    return degs, block
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_gens=st.integers(0, 40),
+       planted=st.lists(st.sampled_from((None, 0, 1, 2, 3, 4)), max_size=6),
+       ungraded=st.booleans())
+def test_homology_counts_planted_isolated_generators(seed, n_gens, planted, ungraded):
+    # the paired part of random_filtered_complex is acyclic, so the Betti
+    # numbers count the isolated generators planted beside it
+    base = random_filtered_complex(np.random.default_rng(seed), n_gens)
+    rng = np.random.default_rng(seed + 1)
+    gens = [Generator(g.id, None if ungraded else g.degree, g.action) for g in base.generators]
+    gens += [Generator(f"z{i}", None if ungraded else k, float(rng.uniform(0.5, 3.5)))
+             for i, k in enumerate(planted)]
+    c = FilteredZ2Complex(gens, list(base.pairs))
+    betti = homology(c)
+    degs, block = _degree_blocks(c)
+    keys = {None if ungraded else k for k in degs}
+    planted = [None if ungraded else k for k in planted]
+    assert betti == {k: planted.count(k) for k in keys}
+    for k in betti:
+        if k is None:
+            assert betti[k] == degs.count(None) - 2 * ref_gf2_rank(block(None, None))
+        else:
+            assert betti[k] == (degs.count(k) - ref_gf2_rank(block(k - 1, k))
+                                - ref_gf2_rank(block(k, k + 1)))
+
+
+def test_homology_ranks_each_degree_block_once(monkeypatch):
+    import rfhlab.z2complex as z2
+
+    shapes = []
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return gf2_rank(m)
+
+    monkeypatch.setattr(z2, "gf2_rank", spy)
+    # degrees 0-3 with 2, 3, 4 and 5 generators: the blocks d_1, d_2, d_3
+    # have distinct shapes, and d_0, d_4 are empty
+    gens = [Generator(f"g{k}_{i}", k, float(k + 1)) for k in range(4) for i in range(k + 2)]
+    assert homology(FilteredZ2Complex(gens, [])) == {0: 2, 1: 3, 2: 4, 3: 5}
+    assert len(shapes) <= 5 and len(set(shapes)) == len(shapes)
+    shapes.clear()
+    assert homology(_hand_instance()) == {0: 0, 1: 1, 2: 0}
+    assert sorted(shapes) == [(1, 3), (3, 1)]
+
+
 # -- array kernels against the reference oracles ------------------------------------
 
 
@@ -506,6 +563,31 @@ def test_planted_rank_and_transpose(rows, cols, seed, data):
     assert gf2_rank(planted) == r
     a = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     assert gf2_rank(a) == gf2_rank(a.T)
+
+
+def _low_rank(rng, rows, cols, r):
+    return ref_gf2_matmul(rng.integers(0, 2, (rows, r), dtype=np.uint8),
+                          rng.integers(0, 2, (r, cols), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("rows", [40, 100, 200])
+@pytest.mark.parametrize("cols", [127, 128, 129])
+def test_gf2_rank_at_panel_edges(rows, cols):
+    rng = np.random.default_rng(7000 + 3 * rows + cols)
+    dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    # a zero 64-column panel between nonzero ones
+    gap = dense.copy()
+    gap[:, 64:128] = 0
+    # a first panel of rank 20, then full columns
+    short = dense.copy()
+    short[:, :64] = _low_rank(rng, rows, 64, 20)
+    # an all-zero trailing block after the first panel
+    head = dense.copy()
+    head[:, 64:] = 0
+    low = _low_rank(rng, rows, cols, 30)
+    for a in (dense, gap, short, head, low):
+        assert gf2_rank(a) == ref_gf2_rank(a)
+        assert gf2_rank(a.T) == ref_gf2_rank(a)
 
 
 def test_phi_invert_n1024_smoke():
