@@ -29,9 +29,11 @@ flow is the exact negative gradient flow of the action restricted to
 the span of modes |k| <= freq_cutoff (a Galerkin subspace that contains
 the model's critical manifolds), while the stopping criterion and the
 structural diagnostics are still evaluated with the full, unprojected
-gradient.  ``reduced_hessian`` and ``stable_perturbation`` expose the
-second variation on the same subspace so that experiments can start from
-perturbations that the flow contracts.
+gradient.  ``second_variation`` differentiates the discrete gradients
+exactly, along a batch of tangents, with the closed-form Hessian of the
+radial Hamiltonian; ``reduced_hessian`` restricts it to the same subspace
+and ``stable_perturbation`` draws from its contracting directions, so that
+experiments can start from perturbations that the flow contracts.
 
 Diagnostics recorded per accepted step: action (non-increasing), full and
 flow gradient norms, cumulative discrete energy (trapezoidal quadrature of
@@ -67,6 +69,7 @@ __all__ = [
     "action_extended",
     "gradient_rabinowitz",
     "gradient_extended",
+    "second_variation",
     "grad_norm",
     "integrate",
     "circ_diff",
@@ -197,6 +200,49 @@ def gradient_extended(sys: ModelSystem, loop: ExtendedLoop):
     geta = circ_diff(loop.zeta) - sys.hamiltonian(loop.x)
     gzeta = -circ_diff(loop.eta)
     return gx, geta, gzeta
+
+
+def _time_diff(arr: np.ndarray) -> np.ndarray:
+    """circ_diff along the last axis."""
+    return np.moveaxis(circ_diff(np.moveaxis(arr, -1, 0)), 0, -1)
+
+
+def second_variation(sys: ModelSystem, loop, tangents):
+    """Derivative of the loop's discrete L2 gradient along a batch of tangents.
+
+    ``tangents`` is a part tuple in the loop's layout with a leading batch
+    axis: (xi, dtau) of shapes (m, N_t, 2n), (m,), or (xi, deta, dzeta) of
+    shapes (m, N_t, 2n), (m, N_t), (m, N_t).  The result has the same
+    layout.  With Hess H(x) = (h'/r) I + (h'' - h'/r) xhat xhat^T in closed
+    form and A the compatible structure, it is
+
+        free period:  ((xi' - tau J Hess H xi - dtau X_H) A^T, -mean <grad H, xi>)
+        fixed period: ((xi' - eta J Hess H xi - deta X_H) A^T,
+                       dzeta' - <grad H, xi>,  -deta')
+
+    and <t, L t> in the L2 metric is the second variation of the action.
+    """
+    # the 2n axis is short, so the loop parts are worked with time as the
+    # last axis; tangents from _unpack are time-contiguous in memory
+    x = np.ascontiguousarray(loop.x.T)
+    xi = np.swapaxes(tangents[0], 1, 2)
+    free = isinstance(loop, RabinowitzLoop)
+    mult = loop.tau if free else loop.eta
+    dmult = tangents[1][:, None] if free else tangents[1]
+    r = radius(loop.x)
+    rate = sys.angular_rate(r)  # h'/r, with grad_hamiltonian's guard at the origin
+    bend = np.where(r > 1e-12, (sys.profile.hpp(r) - rate) / np.maximum(r, 1e-12) ** 2, 0.0)
+    x_dot_xi = np.einsum("kt,mkt->mt", x, xi)
+    dh = rate * x_dot_xi  # <grad H, xi>
+    # A J = I for A = -J, so J Hess H xi and X_H = J grad H leave A^T as
+    # Hess H xi = rate xi + bend <x, xi> x and grad H = rate x
+    gx = sys.acs() @ _time_diff(xi)
+    gx -= mult * rate * xi
+    gx -= (mult * bend * x_dot_xi + dmult * rate)[:, None] * x
+    gx = np.swapaxes(gx, 1, 2)
+    if free:
+        return gx, -np.mean(dh, axis=1)
+    return gx, _time_diff(tangents[2]) - dh, -_time_diff(dmult)
 
 
 # -- the parts rule ----------------------------------------------------------------
@@ -550,45 +596,52 @@ def _pack_dim(loop, kmax: int) -> int:
     return sum(_width(p, 2 * kmax + 1) for p in loop.parts)
 
 
-def _pack_gradient(g, basis: np.ndarray) -> np.ndarray:
+def _pack(batch, basis: np.ndarray) -> np.ndarray:
+    """Reduced coordinates, one row per member, of a batch of part tuples."""
     nt = basis.shape[0]
+    m = len(batch[0])
     # orthonormal w.r.t. the mean inner product
-    return np.concatenate([((basis.T @ a) / nt).T.ravel() if np.ndim(a) else [a] for a in g])
+    return np.hstack([
+        ((basis.T @ a.reshape(m, nt, -1)) / nt).transpose(0, 2, 1).reshape(m, -1)
+        if a.ndim > 1 else a[:, None]
+        for a in batch
+    ])
 
 
-def _shift(loop, vec, basis, eps):
-    """The loop moved by eps times the reduced tangent vector vec."""
-    nb = basis.shape[1]
-    vec = eps * vec
+def _unpack(loop, vecs, basis):
+    """The batch of tangents at ``loop`` whose reduced coordinates are the
+    rows of vecs; loop parts come out time-contiguous in memory."""
+    nt, nb = basis.shape
+    m = len(vecs)
     out, i = [], 0
     for p in loop.parts:
         w = _width(p, nb)
         if np.ndim(p):
-            out.append(p + (basis @ vec[i:i + w].reshape(-1, nb).T).reshape(p.shape))
+            samples = vecs[:, i:i + w].reshape(-1, nb) @ basis.T
+            out.append(np.swapaxes(samples.reshape(m, -1, nt), 1, 2).reshape((m,) + p.shape))
         else:
-            out.append(p + float(vec[i]))
+            out.append(vecs[:, i])
         i += w
-    return type(loop)(*out)
+    return tuple(out)
+
+
+def _shift(loop, vec, basis, eps):
+    """The loop moved by eps times the reduced tangent vector vec."""
+    d = _unpack(loop, (eps * vec)[None], basis)
+    return type(loop)(*(p + q[0] for p, q in zip(loop.parts, d)))
 
 
 def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
     """Second variation of the action on the |k| <= kmax Fourier subspace.
 
-    Assembled by central differences of the gradient (step 1e-5) in an
-    orthonormal basis of the subspace, then symmetrized; the discrete L2
-    metric is the identity in these coordinates.
+    B^T L B for an orthonormal basis B of the subspace and L the exact
+    ``second_variation``, from one batched call, then symmetrized; the
+    discrete L2 metric is the identity in these coordinates.
     """
-    eps = 1e-5
     basis = _fourier_basis(loop.nt, kmax)
-    dim = _pack_dim(loop, kmax)
-    hess = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        gp = _pack_gradient(_gradient(sys, _shift(loop, e, basis, eps)), basis)
-        gm = _pack_gradient(_gradient(sys, _shift(loop, e, basis, -eps)), basis)
-        hess[:, j] = (gp - gm) / (2 * eps)
-    return 0.5 * (hess + hess.T)
+    tangents = _unpack(loop, np.eye(_pack_dim(loop, kmax)), basis)
+    cols = _pack(second_variation(sys, loop, tangents), basis)
+    return 0.5 * (cols + cols.T)
 
 
 def stable_perturbation(

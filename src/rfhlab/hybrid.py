@@ -18,21 +18,19 @@ its gradient drops below the end tolerance; if the plus end is still away
 from critical at the horizon, the horizon doubles and the sweep repeats.
 A half-run that uses up its step budget ends the relaxation unconverged.
 
-``hessian_agreement`` verifies numerically that the second variations of
-the two functionals agree on coupled directions (v, rho) vs (v, rho, xi):
-the xi terms integrate away when rho is constant in t, so the discrete
-values agree to rounding for any loop xi.  ``auto_transversality_check``
+``hessian_agreement`` verifies that the second variations of the two
+functionals agree on coupled directions (v, rho) vs (v, rho, xi): both are
+the exact quadratic forms of ``gradflow.second_variation``, and the xi
+terms integrate away when rho is constant in t, so the discrete values
+agree to rounding for any loop xi.  ``auto_transversality_check``
 examines the linearization at a stationary configuration: the reduced
 second variation has kernel spanned by the critical-manifold tangents
 (which the Morse data on the quotient pins) plus the sigma-shift, so the
-sigma-shift is the only neutral direction of the matching problem itself;
-evolved seeds decay or grow according to their spectral side, and
-positive-cone seeds have strictly decreasing norm on the plus side.
+sigma-shift is the only neutral direction of the matching problem itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +41,13 @@ from .gradflow import (
     RabinowitzLoop,
     _descend,
     _fourier_basis,
+    _g_inner,
     _pack_dim,
-    action_extended,
-    action_rabinowitz,
     grad_norm,
     gradient_rabinowitz,
     lift_loop,
     reduced_hessian,
+    second_variation,
 )
 from .model import ModelSystem, radius
 
@@ -114,10 +112,6 @@ class HybridState:
 
     minus: HalfRun
     plus: HalfRun
-
-    @property
-    def minus_end(self) -> RabinowitzLoop:
-        return self.minus.loops[-1]
 
     @property
     def plus_end(self) -> ExtendedLoop:
@@ -278,8 +272,13 @@ def hybrid_relax(
 # -- second variations ------------------------------------------------------------
 
 
-def _second_difference(f, eps: float) -> float:
-    return (f(eps) - 2.0 * f(0.0) + f(-eps)) / (eps * eps)
+def _quadratic_forms(sys: ModelSystem, loop, tangents) -> np.ndarray:
+    """<t, L t> for each tangent t of the batch, L the exact second variation."""
+    lt = second_variation(sys, loop, tangents)
+    return np.array([
+        _g_inner([a[i] for a in tangents], [b[i] for b in lt], loop.nt)
+        for i in range(len(tangents[0]))
+    ])
 
 
 def hessian_agreement(
@@ -295,16 +294,15 @@ def hessian_agreement(
     direction, and an arbitrary zeta-direction loop; without ``probes``,
     50 random ones in the modes |k| <= 3.  The free-period functional
     sees (v, rho); its lift sees (v, rho const, xi).  Both second
-    variations are central second differences (step 1e-4) of the
-    actions; the lift's extra terms vanish identically, so the
-    discrepancy is rounding noise.  Requires the base point to be
+    variations are the exact quadratic forms <t, L t> of
+    ``second_variation``; the lift's extra terms vanish identically, so
+    the discrepancy is rounding noise.  Requires the base point to be
     critical (gradient norm at most 1e-8).
     """
     g = gradient_rabinowitz(sys, xhat)
     if grad_norm(g, xhat.nt) > 1e-8:
         raise ValueError("hessian_agreement requires a critical base point")
     nt = xhat.nt
-    lift = lift_loop(xhat, sigma)
     if probes is None:
         rng = rng or np.random.default_rng(0)
         basis = _fourier_basis(nt, 3)
@@ -315,36 +313,15 @@ def hessian_agreement(
             xi = basis @ rng.standard_normal(basis.shape[1])
             probes.append((v, rho, xi))
 
-    worst = 0.0
-    for v, rho, xi in probes:
-        def a_free(t):
-            return action_rabinowitz(
-                sys, RabinowitzLoop(x=xhat.x + t * v, tau=xhat.tau + t * rho)
-            )
-
-        def a_lift(t):
-            return action_extended(
-                sys,
-                ExtendedLoop(
-                    x=lift.x + t * v, eta=lift.eta + t * rho, zeta=lift.zeta + t * xi
-                ),
-            )
-
-        q_free = _second_difference(a_free, 1e-4)
-        q_lift = _second_difference(a_lift, 1e-4)
-        worst = max(worst, abs(q_free - q_lift))
-    return worst
+    v, rho, xi = (np.array(part) for part in zip(*probes))
+    q_free = _quadratic_forms(sys, xhat, (v, rho))
+    q_lift = _quadratic_forms(
+        sys, lift_loop(xhat, sigma), (v, np.repeat(rho[:, None], nt, axis=1), xi)
+    )
+    return float(np.max(np.abs(q_free - q_lift)))
 
 
 # -- automatic transversality at stationary configurations -------------------------
-
-
-@dataclass
-class SeedRecord:
-    kind: str
-    phi0: float
-    dphi0: float
-    rate: float
 
 
 @dataclass
@@ -355,8 +332,6 @@ class AutoTransversalityReport:
     rstar_in_kernel: bool
     kernel_spanned_by_manifold_and_rstar: bool
     rstar_only_neutral: bool
-    positive_cone_decreasing: bool
-    seeds: list[SeedRecord]
 
 
 def _k_tangent_vectors(sys: ModelSystem, xhat: RabinowitzLoop, basis: np.ndarray) -> np.ndarray:
@@ -398,9 +373,8 @@ def auto_transversality_check(
     sys: ModelSystem,
     xhat: RabinowitzLoop,
     sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> AutoTransversalityReport:
-    """Spectral and dynamical check of the linearized matching problem.
+    """Spectral check of the linearized matching problem.
 
     Builds the reduced second variation of the fixed-period action at the
     stationary lift, on the modes |k| <= 2, and verifies: the kernel
@@ -408,12 +382,11 @@ def auto_transversality_check(
     dimension plus one; the sigma-shift lies in it; the rest of the kernel
     is tangent to the critical manifold (pinned by the Morse data), so
     after that identification the sigma-shift is the only neutral
-    direction.  Evolves six positive-cone and six random seeds under the
-    linearized flow to s = 1 and reports decay rates; positive-cone seeds
-    must have strictly decreasing norm.
+    direction.  Directions of positive eigenvalue contract under the
+    linearized flow dz/ds = -H z by construction, so the spectrum is the
+    whole check.
     """
-    kmax, n_seeds, s_max, kernel_tol = 2, 6, 1.0, 1e-6
-    rng = rng or np.random.default_rng(0)
+    kmax, kernel_tol = 2, 1e-6
     lift = lift_loop(xhat, sigma)
     nt = lift.nt
     basis = _fourier_basis(nt, kmax)
@@ -441,31 +414,6 @@ def auto_transversality_check(
     expected = (sys.dim - 1) + 1
     rstar_only = rstar_in_kernel and spanned and kernel_dim == expected
 
-    # evolve seeds under dz/ds = -H z, phi(s) = |z(s)|^2
-    seeds = []
-
-    def evolve(z0, kind):
-        c0 = evecs.T @ z0
-        phi0 = float(z0 @ z0)
-        dphi0 = float(-2.0 * z0 @ (hess @ z0))
-        cs = c0 * np.exp(-evals * s_max)
-        phi1 = float(cs @ cs)
-        rate = 0.0 if phi0 == 0.0 or phi1 == 0.0 else -math.log(phi1 / phi0) / (2 * s_max)
-        seeds.append(SeedRecord(kind=kind, phi0=phi0, dphi0=dphi0, rate=rate))
-
-    evolve(np.zeros(dim_state), "zero")
-    evolve(rstar, "rstar")
-    pos = evecs[:, evals > kernel_tol]
-    cone_ok = True
-    for _ in range(n_seeds):
-        c = rng.standard_normal(pos.shape[1])
-        z = pos @ (c / np.linalg.norm(c))
-        evolve(z, "positive-cone")
-        cone_ok = cone_ok and seeds[-1].dphi0 < 0
-    for _ in range(n_seeds):
-        z = rng.standard_normal(dim_state)
-        evolve(z / np.linalg.norm(z), "random")
-
     return AutoTransversalityReport(
         kernel_eigenvalues=evals[kernel_mask],
         kernel_dim=kernel_dim,
@@ -473,8 +421,6 @@ def auto_transversality_check(
         rstar_in_kernel=rstar_in_kernel,
         kernel_spanned_by_manifold_and_rstar=spanned,
         rstar_only_neutral=rstar_only,
-        positive_cone_decreasing=cone_ok,
-        seeds=seeds,
     )
 
 

@@ -106,8 +106,10 @@ def _id_pairs(order, mat) -> frozenset:
 
 def _first_entry(items, mask: np.ndarray):
     """(items[from], items[to]) at the first True M[to, from], row-major."""
+    if not mask.any():
+        return None
     hits = np.argwhere(mask)
-    return (items[hits[0, 1]], items[hits[0, 0]]) if len(hits) else None
+    return items[hits[0, 1]], items[hits[0, 0]]
 
 
 class _CanonicalMatrix:

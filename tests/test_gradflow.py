@@ -252,12 +252,63 @@ def test_reduced_hessian_spectrum_at_orbit(sys1, orbit):
     assert np.allclose(got, expected, atol=1e-2)
 
 
-def test_reduced_hessian_kernel_at_lift(sys1, lifted):
-    # Morse-Bott kernel = tangent of the critical manifold: phase shift
-    # and the sigma line, dimension 2
-    hess = reduced_hessian(sys1, lifted, kmax=1)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduced_hessian_kernel_at_lift(n):
+    # Morse-Bott kernel = tangent of the critical manifold S^{2n-1}, the
+    # phase shift among its directions, and the sigma line: dimension 2n
+    sy = make_model(n=n)
+    hess = reduced_hessian(sy, lift_loop(discrete_orbit_loop(sy, 1, NT), sigma=0.4), kmax=1)
     evals = np.linalg.eigvalsh(hess)
-    assert int(np.sum(np.abs(evals) < 1e-6)) == 2
+    assert int(np.sum(np.abs(evals) < 1e-6)) == 2 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rabinowitz", "extended"]),
+    n=st.integers(1, 3),
+    swing=st.floats(0.05, 0.25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_second_variation_matches_gradient_differences(kind, n, swing, seed):
+    # at a loop that is not critical, with radii on both sides of r0 = 1.2
+    # so that the cap branch of h'' enters Hess H, the exact derivative of
+    # the gradient agrees with its central differences
+    sy = make_model(n=n)
+    rng = np.random.default_rng(seed)
+    nt, m, eps = 32, 3, 2e-6
+    basis = gradflow._fourier_basis(nt, 3)
+    nb = basis.shape[1]
+    t = np.arange(nt) / nt
+    e = np.eye(2 * n)[0]
+    circle = np.cos(2 * np.pi * t)[:, None] * e + np.sin(2 * np.pi * t)[:, None] * (sy.jmat @ e)
+    rho = sy.profile.r0 + swing * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
+    x = rho[:, None] * circle + 0.01 * basis @ rng.standard_normal((nb, 2 * n))
+    r = np.linalg.norm(x, axis=1)
+    assert r.min() < sy.profile.r0 < r.max()
+
+    def loop_part(shape):
+        # unit sup norms, and multipliers of size at most 2, keep both the
+        # O(eps^2) term and the rounding of the differences near 2e-9
+        a = basis @ rng.standard_normal((nb,) + shape)
+        return a / np.max(np.abs(a))
+
+    if kind == "rabinowitz":
+        loop = RabinowitzLoop(x=x, tau=float(rng.uniform(-2, 2)))
+        tangents = (np.stack([loop_part((2 * n,)) for _ in range(m)]), rng.uniform(-1, 1, m))
+    else:
+        loop = ExtendedLoop(x=x, eta=rng.uniform(-1, 1) + loop_part(()), zeta=loop_part(()))
+        tangents = tuple(np.stack([loop_part(s) for _ in range(m)]) for s in ((2 * n,), (), ()))
+    grad = gradflow._GRADIENT[type(loop)]
+    assert grad_norm(grad(sy, loop), nt) > 1e-3
+
+    exact = gradflow.second_variation(sy, loop, tangents)
+    assert [np.shape(a) for a in exact] == [np.shape(a) for a in tangents]
+    for j in range(m):
+        moved = [type(loop)(*(p + s * eps * d[j] for p, d in zip(loop.parts, tangents)))
+                 for s in (1, -1)]
+        gp, gm = grad(sy, moved[0]), grad(sy, moved[1])
+        for a, b, c in zip(exact, gp, gm):
+            assert np.max(np.abs(a[j] - (b - c) / (2 * eps))) <= 1e-8
 
 
 def test_stable_perturbation_rejects_empty_cone(sys1, orbit):
@@ -444,7 +495,8 @@ def test_parts_rule_matches_the_per_kind_helpers_bitwise(kind, n, nt, kmax, scal
     basis = gradflow._fourier_basis(nt, kmax)
     dim = gradflow._pack_dim(loop, kmax)
     assert dim == ref_pack_dim(loop, kmax)
-    assert same_bits(gradflow._pack_gradient(g2, basis), ref_pack_gradient(loop, g2, basis))
+    batch = tuple(np.asarray(a)[None] for a in g2)
+    assert same_bits(gradflow._pack(batch, basis)[0], ref_pack_gradient(loop, g2, basis))
     vec = rng.standard_normal(dim)
     for eps in (1e-5, -1e-5, 3e-6):
         moved = gradflow._shift(loop, vec, basis, eps)

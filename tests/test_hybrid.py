@@ -82,7 +82,7 @@ def test_perturbed_stationary_reconverges_with_identities(sys1, orbit):
 
 def test_hessian_agreement_random_probes(sys1, orbit):
     worst = hessian_agreement(sys1, orbit, sigma=0.3, rng=np.random.default_rng(2))
-    assert worst <= 1e-5
+    assert worst <= 1e-10
 
 
 def test_hessian_agreement_trivial_probes(sys1, orbit):
@@ -94,7 +94,7 @@ def test_hessian_agreement_trivial_probes(sys1, orbit):
     assert hessian_agreement(sys1, orbit, 0.3, probes=[(zero_v, 0.0, xi)]) <= 1e-12
     # direction along the critical manifold (phase shift): Morse-Bott kernel
     dx = (np.roll(orbit.x, -1, axis=0) - np.roll(orbit.x, 1, axis=0)) * (nt / 2.0)
-    assert hessian_agreement(sys1, orbit, 0.3, probes=[(dx, 0.0, np.zeros(nt))]) <= 1e-5
+    assert hessian_agreement(sys1, orbit, 0.3, probes=[(dx, 0.0, np.zeros(nt))]) <= 1e-10
 
 
 def test_hessian_agreement_requires_critical_base(sys1, orbit):
@@ -105,24 +105,15 @@ def test_hessian_agreement_requires_critical_base(sys1, orbit):
 
 
 def test_auto_transversality_orbit(sys1, orbit):
-    rep = auto_transversality_check(sys1, orbit, sigma=0.2, rng=np.random.default_rng(4))
+    rep = auto_transversality_check(sys1, orbit, sigma=0.2)
     assert rep.kernel_dim == rep.expected_kernel_dim == 2
     assert rep.rstar_in_kernel
     assert rep.kernel_spanned_by_manifold_and_rstar
     assert rep.rstar_only_neutral
-    assert rep.positive_cone_decreasing
-    zero = [s for s in rep.seeds if s.kind == "zero"][0]
-    assert zero.phi0 == 0.0 and zero.dphi0 == 0.0
-    rstar = [s for s in rep.seeds if s.kind == "rstar"][0]
-    assert abs(rstar.dphi0) <= 1e-9 and abs(rstar.rate) <= 1e-6
-    for s in rep.seeds:
-        if s.kind == "positive-cone":
-            assert s.dphi0 < 0 and s.rate > 0
 
 
 def test_auto_transversality_constants(sys1):
-    rep = auto_transversality_check(sys1, discrete_constant_loop(sys1, nt=NT),
-                                    sigma=-0.1, rng=np.random.default_rng(5))
+    rep = auto_transversality_check(sys1, discrete_constant_loop(sys1, nt=NT), sigma=-0.1)
     assert rep.kernel_dim == 2  # Sigma tangent + sigma line for n = 1
     assert rep.rstar_only_neutral
 
@@ -130,7 +121,7 @@ def test_auto_transversality_constants(sys1):
 def test_auto_transversality_higher_dimension():
     sy = make_model(n=2)
     orbit = discrete_orbit_loop(sy, 1, 128)
-    rep = auto_transversality_check(sy, orbit, sigma=0.0, rng=np.random.default_rng(6))
+    rep = auto_transversality_check(sy, orbit, sigma=0.0)
     # kernel = critical-manifold tangents (2n - 1 = 3) plus the sigma line
     assert rep.kernel_dim == rep.expected_kernel_dim == 4
     assert rep.rstar_only_neutral
