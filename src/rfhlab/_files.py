@@ -1,19 +1,37 @@
-"""The one way rfhlab writes and reads text files."""
+"""The one way rfhlab writes and reads text files.
+
+Every writer takes a path, an open text handle or None.  Large outputs (path
+CSVs, loop snapshots) go through ``write_chunks`` as a lazy sequence of
+pieces, so that the whole text is never built when it is written out.
+"""
 
 import json
 
 
-def write_text(file, text: str) -> str:
-    """Write ``text`` to ``file`` and return it.
+def write_chunks(file, chunks) -> str | None:
+    """Write the strings of the iterable ``chunks``, in order, to ``file``.
 
     ``file`` is a path (opened and closed here), an open text handle, or
-    None (nothing is written).
+    None (nothing is written).  A chunk is written as soon as the iterable
+    yields it, so a lazy iterable keeps one chunk in memory at a time.
+    Returns the joined text when ``file`` is None, else None.
     """
+    if file is None:
+        return "".join(chunks)
     if isinstance(file, (str, bytes)):
         with open(file, "w") as fh:
-            fh.write(text)
-    elif file is not None:
-        file.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+    else:
+        for chunk in chunks:
+            file.write(chunk)
+    return None
+
+
+def write_text(file, text: str) -> str:
+    """Write ``text`` to ``file`` under the rules of ``write_chunks`` and
+    return it."""
+    write_chunks(file, (text,))
     return text
 
 

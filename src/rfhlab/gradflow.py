@@ -54,7 +54,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._files import read_json, write_text
+from ._files import read_json, write_chunks, write_text
 from .model import ModelSystem, radius
 
 __all__ = [
@@ -223,7 +223,7 @@ def second_variation(sys: ModelSystem, loop, tangents):
     and <t, L t> in the L2 metric is the second variation of the action.
     """
     # the 2n axis is short, so the loop parts are worked with time as the
-    # last axis; tangents from _unpack are time-contiguous in memory
+    # last axis; tangents from _part_blocks are time-contiguous in memory
     x = np.ascontiguousarray(loop.x.T)
     xi = np.swapaxes(tangents[0], 1, 2)
     free = isinstance(loop, RabinowitzLoop)
@@ -452,8 +452,9 @@ def _lem1_check(sys: ModelSystem, full_norm: float, max_abs_h: float) -> bool:
     return max_abs_h < sys.h_thr
 
 
-def _observe(sys, loop):
-    habs = np.abs(sys.hamiltonian(loop.x))
+def _observe(sys, loop, h):
+    """max |H|, containment and zeta spread of a loop whose H samples are h."""
+    habs = np.abs(h)
     contained = bool(np.max(radius(loop.x)) <= sys.profile.r_plateau + 1e-9)
     if isinstance(loop, ExtendedLoop):
         spread = float(
@@ -494,9 +495,14 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
     extended = isinstance(loop, ExtendedLoop)
     zeta0_mean = math.fsum(loop.zeta.tolist()) / nt if extended else 0.0
     diags = FlowDiagnostics(h_sup=float(np.abs(sys.profile.plateau_value())))
+    # integral H of the last recorded loop, which is the next step's prev:
+    # H is evaluated once per accepted loop
+    h_mean = 0.0
 
     def record(st, prev, ds):
+        nonlocal h_mean
         cur = st.loop
+        h = sys.hamiltonian(cur.x)
         eta_resid = 0.0
         if prev is not None:
             # residual of the averaged multiplier ODE etahat' = integral H
@@ -504,8 +510,9 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
                 rate = (np.mean(cur.eta) - np.mean(prev.eta)) / ds
             else:
                 rate = (cur.tau - prev.tau) / ds
-            eta_resid = abs(rate - float(np.mean(sys.hamiltonian(prev.x))))
-        max_h, contained, spread = _observe(sys, cur)
+            eta_resid = abs(rate - h_mean)
+        h_mean = float(np.mean(h))
+        max_h, contained, spread = _observe(sys, cur, h)
         drift = math.fsum(cur.zeta.tolist()) / nt - zeta0_mean if extended else 0.0
         diags.rows.append(
             FlowStep(
@@ -631,16 +638,50 @@ def _shift(loop, vec, basis, eps):
     return type(loop)(*(p + q[0] for p, q in zip(loop.parts, d)))
 
 
+def _part_blocks(loop, basis):
+    """The unit tangents of the reduced coordinates, one block at a time.
+
+    Per part in field order and, for a loop part, per component: the slice
+    of reduced coordinates that block spans, and the batch of tangents
+    whose coordinates are that slice's unit vectors.  The block's own part
+    holds the basis columns (a scalar part, 1); the other parts are
+    read-only broadcast zeros, never allocated.
+    """
+    nt, nb = basis.shape
+    parts = loop.parts
+    i = 0
+    for j, p in enumerate(parts):
+        m = nb if np.ndim(p) else 1
+        ncomp = _width(p, nb) // m
+        for k in range(ncomp):
+            if np.ndim(p):
+                # time-contiguous, as second_variation works with time last
+                own = np.zeros((nb, ncomp, nt))
+                own[:, k] = basis.T
+                own = np.swapaxes(own, 1, 2).reshape((nb,) + p.shape)
+            else:
+                own = np.ones(1)
+            tangents = tuple(own if q == j else np.broadcast_to(0.0, (m,) + np.shape(parts[q]))
+                             for q in range(len(parts)))
+            yield slice(i, i + m), tangents
+            i += m
+
+
 def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
     """Second variation of the action on the |k| <= kmax Fourier subspace.
 
     B^T L B for an orthonormal basis B of the subspace and L the exact
-    ``second_variation``, from one batched call, then symmetrized; the
-    discrete L2 metric is the identity in these coordinates.
+    ``second_variation``, then symmetrized; the discrete L2 metric is the
+    identity in these coordinates.  The rows are assembled one part block
+    at a time (the x part component by component, then each eta, tau or
+    zeta part), so that the working memory is one block's tangents and
+    derivatives, not the whole batch's.
     """
     basis = _fourier_basis(loop.nt, kmax)
-    tangents = _unpack(loop, np.eye(_pack_dim(loop, kmax)), basis)
-    cols = _pack(second_variation(sys, loop, tangents), basis)
+    dim = _pack_dim(loop, kmax)
+    cols = np.empty((dim, dim))
+    for rows, tangents in _part_blocks(loop, basis):
+        cols[rows] = _pack(second_variation(sys, loop, tangents), basis)
     return 0.5 * (cols + cols.T)
 
 
@@ -673,16 +714,27 @@ def stable_perturbation(
 # -- serialization ----------------------------------------------------------------
 
 
-def loop_to_json(loop, file=None) -> str:
-    if isinstance(loop, RabinowitzLoop):
-        payload = {"type": "rabinowitz", "x": loop.x.tolist(), "tau": loop.tau}
-    else:
-        payload = {
-            "type": "extended", "x": loop.x.tolist(),
-            "eta": loop.eta.tolist(), "zeta": loop.zeta.tolist(),
-        }
-    # compact: indented, the arrays would print one number per line
-    return write_text(file, json.dumps(payload, sort_keys=True) + "\n")
+def loop_to_json(loop, file=None) -> str | None:
+    """Write the loop's ``type`` and parts as one compact JSON object with
+    sorted keys, then a newline: the text of ``json.dumps(payload,
+    sort_keys=True)``.
+
+    Each part is encoded and written on its own, so the working memory is
+    one part's nested list and text.  ``file`` follows the rules of
+    ``_files.write_chunks``; returns the text when ``file`` is None.
+    """
+    payload = {"type": "rabinowitz" if isinstance(loop, RabinowitzLoop) else "extended"}
+    payload.update((f.name, getattr(loop, f.name)) for f in fields(loop))
+
+    def chunks():
+        # compact: indented, the arrays would print one number per line
+        for i, key in enumerate(sorted(payload)):
+            value = payload[key]
+            value = value.tolist() if isinstance(value, np.ndarray) else value
+            yield ("{" if i == 0 else ", ") + json.dumps(key) + ": " + json.dumps(value)
+        yield "}\n"
+
+    return write_chunks(file, chunks())
 
 
 def loop_from_json(source):

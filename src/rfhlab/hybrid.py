@@ -377,16 +377,25 @@ def auto_transversality_check(
     """Spectral check of the linearized matching problem.
 
     Builds the reduced second variation of the fixed-period action at the
-    stationary lift, on the modes |k| <= 2, and verifies: the kernel
-    (eigenvalues within 1e-6 of zero) has the critical manifold's
-    dimension plus one; the sigma-shift lies in it; the rest of the kernel
-    is tangent to the critical manifold (pinned by the Morse data), so
-    after that identification the sigma-shift is the only neutral
-    direction.  Directions of positive eigenvalue contract under the
-    linearized flow dz/ds = -H z by construction, so the spectrum is the
-    whole check.
+    stationary lift, on the modes |k| <= 2, and verifies: the kernel has
+    the critical manifold's dimension plus one; the sigma-shift lies in it;
+    the rest of the kernel is tangent to the critical manifold (pinned by
+    the Morse data), so after that identification the sigma-shift is the
+    only neutral direction.  Directions of positive eigenvalue contract
+    under the linearized flow dz/ds = -H z by construction, so the spectrum
+    is the whole check.
+
+    The kernel is cut at the spectrum's widest gap.  Sort |lambda|, floor
+    each at machine epsilon times the spectral radius, and put that floor
+    first: the kernel is every eigenvalue below the largest ratio hi / lo
+    of neighbours in this list (none, if the floor is the lo).  A unit
+    vector v is in the kernel when |H v| is below sqrt(lo hi), and the
+    kernel is spanned by the allowed directions when its residual against
+    them is below sqrt(lo / hi): a kernel vector computed in floating point
+    lies within about lo / hi of the exact kernel, and one outside the span
+    leaves a residual of order one.
     """
-    kmax, kernel_tol = 2, 1e-6
+    kmax = 2
     lift = lift_loop(xhat, sigma)
     nt = lift.nt
     basis = _fourier_basis(nt, kmax)
@@ -394,9 +403,13 @@ def auto_transversality_check(
     hess = reduced_hessian(sys, lift, kmax=kmax)
     evals, evecs = np.linalg.eigh(hess)
 
-    kernel_mask = np.abs(evals) <= kernel_tol
-    kernel_dim = int(np.sum(kernel_mask))
-    kernel = evecs[:, kernel_mask]
+    order = np.argsort(np.abs(evals))
+    mags = np.abs(evals[order])
+    scale = np.maximum(np.concatenate([[0.0], mags]), np.finfo(float).eps * mags[-1])
+    kernel_dim = int(np.argmax(scale[1:] / scale[:-1]))
+    lo, hi = scale[kernel_dim], scale[kernel_dim + 1]
+    in_kernel = np.sort(order[:kernel_dim])
+    kernel = evecs[:, in_kernel]
 
     dim_state = _pack_dim(lift, kmax)
     ncomp = lift.x.shape[1]
@@ -404,18 +417,18 @@ def auto_transversality_check(
     rstar[(ncomp + 1) * nb] = 1.0  # constant zeta direction
 
     h_rstar = float(np.linalg.norm(hess @ rstar))
-    rstar_in_kernel = h_rstar <= kernel_tol
+    rstar_in_kernel = h_rstar <= np.sqrt(lo * hi)
 
     ktang = _k_tangent_vectors(sys, xhat, basis)
     allowed = np.column_stack([ktang, rstar])
     q, _ = np.linalg.qr(allowed)
     resid = kernel - q @ (q.T @ kernel)
-    spanned = float(np.max(np.abs(resid))) <= 1e-5 if kernel.size else True
+    spanned = float(np.max(np.abs(resid))) <= np.sqrt(lo / hi) if kernel.size else True
     expected = (sys.dim - 1) + 1
     rstar_only = rstar_in_kernel and spanned and kernel_dim == expected
 
     return AutoTransversalityReport(
-        kernel_eigenvalues=evals[kernel_mask],
+        kernel_eigenvalues=evals[in_kernel],
         kernel_dim=kernel_dim,
         expected_kernel_dim=expected,
         rstar_in_kernel=rstar_in_kernel,

@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._files import write_text
+from ._files import write_chunks
 from .symlin import standard_jmat, symplectic_defect
 
 __all__ = [
@@ -754,13 +754,23 @@ def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
 
 
 def save_path_csv(path: SymplecticPath, file) -> None:
-    """Write one row per sample: t, then row-major matrix entries."""
+    """Write a header, then one row per sample: t, then the row-major
+    matrix entries, each as ``%.17g``.
+
+    Rows are formatted and written 128 at a time, through
+    ``_files.write_chunks``, so the working memory is one block of rows.
+    """
     d = path.dim
-    header = ",".join(["t"] + [f"m{i}{j}" for i in range(d) for j in range(d)])
-    rows = np.column_stack([path.ts, path.mats.reshape(len(path.ts), d * d)])
-    template = ",".join(["%.17g"] * (d * d + 1))
-    lines = [header] + [template % tuple(row.tolist()) for row in rows]
-    write_text(file, "\n".join(lines) + "\n")
+    flat = path.mats.reshape(len(path.ts), d * d)
+    template = ",".join(["%.17g"] * (d * d + 1)) + "\n"
+
+    def chunks():
+        yield ",".join(["t"] + [f"m{i}{j}" for i in range(d) for j in range(d)]) + "\n"
+        for lo in range(0, len(flat), 128):
+            rows = np.column_stack([path.ts[lo:lo + 128], flat[lo:lo + 128]])
+            yield "".join([template % tuple(row) for row in rows.tolist()])
+
+    write_chunks(file, chunks())
 
 
 def load_path_csv(file, form: np.ndarray | None = None, tol: float = 1e-6) -> SymplecticPath:

@@ -117,6 +117,29 @@ def test_no_wasteful_calls(path):
                           gf2=path.name == "z2complex.py") == []
 
 
+def open_calls(source: str) -> list[str]:
+    """Calls of ``open`` (bare, or as an attribute such as ``io.open`` or
+    ``path.open``): files are opened in ``_files.py`` alone, so that every
+    writer keeps its path-or-handle-or-None rule and its chunked writes."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and ((isinstance(node.func, ast.Name) and node.func.id == "open")
+                  or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"))]
+    return [f"line {node.lineno}: {_dotted(node.func) or 'open'}("
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_open_call_is_found():
+    source = ("with open(p, 'w') as fh:\n    fh.write(t)\nf = io.open(p)\n"
+              "g = pathlib.Path(p).open()\nh = opener(p)\nk = reopen(p)\n")
+    assert open_calls(source) == ["line 1: open(", "line 3: io.open(", "line 4: open("]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_files.py"),
+                         ids=lambda p: p.name)
+def test_files_are_opened_in_files_module_alone(path):
+    assert open_calls(path.read_text()) == []
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; the package runs on numpy alone
     probe = "import sys, rfhlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
