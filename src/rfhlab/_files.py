@@ -1,11 +1,14 @@
 """The one way rfhlab writes and reads text files.
 
-Every writer takes a path, an open text handle or None.  Large outputs (path
-CSVs, loop snapshots) go through ``write_chunks`` as a lazy sequence of
-pieces, so that the whole text is never built when it is written out.
+Every writer takes a path, an open text handle or None; every reader a path
+or an open text handle.  Large outputs (path CSVs, loop snapshots) go
+through ``write_chunks`` as a lazy sequence of pieces, so that the whole
+text is never built when it is written out.
 """
 
 import json
+
+import numpy as np
 
 
 def write_chunks(file, chunks) -> str | None:
@@ -41,13 +44,22 @@ def write_json(file, payload) -> str:
     return write_text(file, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_text(file) -> str:
-    """The whole text of ``file``: a path (opened and closed here) or an
-    open text handle."""
+def read_with(file, read):
+    """``read(handle)`` for a path (opened and closed here) or a handle."""
     if isinstance(file, (str, bytes)):
         with open(file) as fh:
-            return fh.read()
-    return file.read()
+            return read(fh)
+    return read(file)
+
+
+def read_text(file) -> str:
+    """The whole text of ``file`` under the rules of ``read_with``."""
+    return read_with(file, lambda fh: fh.read())
+
+
+def read_csv_floats(file) -> np.ndarray:
+    """The 2-d float array of a CSV file's rows below its header line (``read_with``)."""
+    return read_with(file, lambda fh: np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2))
 
 
 def read_json(source):

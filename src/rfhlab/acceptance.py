@@ -95,7 +95,7 @@ def _random_block_path(rng):
     b = random_symmetric(2, rng, 1.0)
     phase = float(rng.uniform(0, 2 * np.pi))
     return rsi.path_from_generator(
-        lambda t: a + np.sin(2 * np.pi * t + phase) * b, 2, n_steps=384
+        lambda t: a + np.sin(2 * np.pi * t + phase)[:, None, None] * b, 2, n_steps=384
     )
 
 

@@ -774,22 +774,10 @@ def loop_from_json(source):
 
 def diagnostics_to_csv(diags: FlowDiagnostics, file=None) -> str:
     """Diagnostics stream: one row per recorded step, spec'd column order."""
-    header = ",".join(DIAG_COLUMNS)
-    lines = [header]
+    lines = [",".join(DIAG_COLUMNS)]
     for r in diags.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    format(r.s, ".17g"),
-                    format(r.action, ".17g"),
-                    format(r.grad_norm, ".17g"),
-                    format(r.energy_cum, ".17g"),
-                    format(r.eta_avg_residual, ".17g"),
-                    format(r.zeta_drift, ".17g"),
-                    format(r.max_abs_h, ".17g"),
-                    "1" if r.containment else "0",
-                ]
-            )
-        )
+        floats = (r.s, r.action, r.grad_norm, r.energy_cum, r.eta_avg_residual, r.zeta_drift,
+                  r.max_abs_h)
+        row = [str(r.step), *(format(v, ".17g") for v in floats), str(int(r.containment))]
+        lines.append(",".join(row))
     return write_text(file, "\n".join(lines) + "\n")

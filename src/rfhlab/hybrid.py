@@ -448,22 +448,10 @@ HYBRID_DIAG_COLUMNS = (
 
 def hybrid_diagnostics_to_csv(state: HybridState, file=None) -> str:
     """Per-sample rows for both halves, with the coupling residual columns."""
-    r_loop, r_eta = state.coupling_residuals()
+    residuals = [format(r, ".17g") for r in state.coupling_residuals()]
     lines = [",".join(HYBRID_DIAG_COLUMNS)]
     for side, run in (("minus", state.minus), ("plus", state.plus)):
         for i, s in enumerate(run.s):
-            lines.append(
-                ",".join(
-                    [
-                        side,
-                        str(i),
-                        format(s, ".17g"),
-                        format(run.actions[i], ".17g"),
-                        format(run.grad_norms[i], ".17g"),
-                        format(run.energy_cum[i], ".17g"),
-                        format(r_loop, ".17g"),
-                        format(r_eta, ".17g"),
-                    ]
-                )
-            )
+            floats = (s, run.actions[i], run.grad_norms[i], run.energy_cum[i])
+            lines.append(",".join([side, str(i), *(format(v, ".17g") for v in floats), *residuals]))
     return write_text(file, "\n".join(lines) + "\n")

@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._files import write_chunks
+from ._files import read_csv_floats, write_chunks
 from .symlin import standard_jmat, symplectic_defect
 
 __all__ = [
@@ -171,15 +171,12 @@ class SymplecticPath:
             and the J of the generator equation Gamma' = J S Gamma; that
             one matrix plays both parts is what makes the crossing form
             equal to S on the kernel.
-        generator: optional callable t -> S(t), symmetric.
+        generator: optional callable mapping an array of N times to the
+            stack (N, 2m, 2m) of the symmetric S(t).
         evaluator: optional callable t -> Gamma(t), a closed form.
         fields: with a generator, the stack (N, 2m, 2m) of J S(t_k) at
-            the sample times.  ``path_from_generator`` keeps the one it
-            integrated with; ``theta_path`` and ``rotation_path`` carry a
-            read-only broadcast of their one constant J S; ``block_diag``
-            on a shared grid places its parts' stacks in blocks when both
-            carry one.  Any other path calls its generator once per sample
-            on first use.
+            the sample times, from one generator call on first use;
+            ``path_from_generator`` keeps the one it integrated with.
 
     Off-sample values come from the evaluator; without one, from cubic
     Hermite interpolation on Gamma_k and Gamma'_k = J S(t_k) Gamma_k when
@@ -192,7 +189,7 @@ class SymplecticPath:
         ts: Sequence[float],
         mats: Sequence[np.ndarray],
         form: np.ndarray | None = None,
-        generator: Callable[[float], np.ndarray] | None = None,
+        generator: Callable[[np.ndarray], np.ndarray] | None = None,
         evaluator: Callable[[float], np.ndarray] | None = None,
         tol: float = 1e-7,
     ):
@@ -240,7 +237,7 @@ class SymplecticPath:
             return
         dt = self.ts[i + 1] - self.ts[i - 1]
         fd = (self.mats[i + 1] - self.mats[i - 1]) / dt
-        rhs = self.form @ self.generator(float(self.ts[i])) @ self.mats[i]
+        rhs = self.form @ _stack(self.generator, self.ts[i:i + 1], self.dim)[0] @ self.mats[i]
         scale = max(1.0, float(np.max(np.abs(rhs))))
         if np.max(np.abs(fd - rhs)) > 1e-2 * scale + 10 * dt:
             raise ValueError("generator is inconsistent with the sampled derivative")
@@ -262,7 +259,7 @@ class SymplecticPath:
         if self._fields is None:
             if self.generator is None:
                 raise MissingGeneratorError("the path has no generator")
-            self._fields = _field_stack(self.generator, self.form, self.ts)
+            self._fields = self.form @ _stack(self.generator, self.ts, self.dim)
         return self._fields
 
     def _hermite(self, t: float) -> np.ndarray:
@@ -298,12 +295,31 @@ class SymplecticPath:
         return len(self.ts)
 
 
-def _field_stack(gen, jmat: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """J S(t) at each of the times, from one call of ``gen`` per time with a float."""
-    out = np.empty((len(times),) + jmat.shape)
-    for i, t in enumerate(times.tolist()):
-        out[i] = gen(t)
-    return np.matmul(jmat, out, out=out)
+def _stack(gen, times: np.ndarray, dim: int) -> np.ndarray:
+    """S(t) at the times, from one call of ``gen`` with the array of times."""
+    stack = gen(times)
+    if np.shape(stack) != (len(times), dim, dim):
+        raise ValueError(f"a generator maps N times to a stack of shape (N, {dim}, {dim}); "
+                         f"got shape {np.shape(stack)} for N = {len(times)}")
+    return stack
+
+
+def _constant(s: np.ndarray):
+    """The generator of the constant S(t) = s: a read-only broadcast of s."""
+    return lambda t: np.broadcast_to(s, (len(t),) + s.shape)
+
+
+def _prefix_products(steps: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = steps[k] ... steps[0] by the Hillis-Steele scan (CACM 29 (1986)): level s
+    multiplies each partial product by the one s places before it, in ceil(log2 N) batched
+    products that read one of ``steps`` (overwritten) and ``out`` and write the other."""
+    src, dst, shift = steps, out, 1
+    while shift < len(steps):
+        dst[:shift] = src[:shift]
+        np.matmul(src[shift:], src[:-shift], out=dst[shift:])
+        src, dst, shift = dst, src, 2 * shift
+    if src is not out:
+        out[...] = src
 
 
 # -- the winding of det D ------------------------------------------------------
@@ -585,11 +601,8 @@ def theta_path(tau: float, hp: float, hpp: float, n_samples: int = 257) -> Sympl
 
     ts = np.linspace(0.0, 1.0, n_samples)
     mats = np.eye(4) + ts[:, None, None] * nmat
-    path = SymplecticPath(
-        ts, mats, form=form, generator=lambda t: cmat, evaluator=evaluate, tol=1e-10
-    )
-    path._fields = np.broadcast_to(form @ cmat, mats.shape)
-    return path
+    return SymplecticPath(ts, mats, form=form, generator=_constant(cmat), evaluator=evaluate,
+                          tol=1e-10)
 
 
 def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
@@ -604,16 +617,11 @@ def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
     angles = angle * ts[:, None, None]
     mats = np.cos(angles) * eye
     mats += np.sin(angles) * jmat
-    gen = angle * eye
-    path = SymplecticPath(
-        ts, mats, generator=lambda t: gen, evaluator=evaluate, tol=1e-9
-    )
-    path._fields = np.broadcast_to(jmat @ gen, mats.shape)
-    return path
+    return SymplecticPath(ts, mats, generator=_constant(angle * eye), evaluator=evaluate, tol=1e-9)
 
 
 def path_from_generator(
-    gen: Callable[[float], np.ndarray],
+    gen: Callable[[np.ndarray], np.ndarray],
     dim: int,
     form: np.ndarray | None = None,
     n_steps: int = 1024,
@@ -621,32 +629,39 @@ def path_from_generator(
 ) -> SymplecticPath:
     """Integrate Gamma' = J S(t) Gamma, Gamma(0) = I by fixed-step RK4.
 
-    ``gen`` is called once at each of the 2 n_steps + 1 step and midpoint
-    times, always with a float.  The equation is linear, so RK4 step k is
-    a propagator P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) that depends on
-    J S at the step's start, midpoint and end alone; the propagators come
-    from batched products and Gamma_{k+1} = P_k Gamma_k.  The path keeps
-    the stack of J S(t_k) at its samples (``fields``), so its off-sample
-    values, cubic Hermite on Gamma_k and Gamma'_k, call ``gen`` no more.
+    ``gen`` is called once, with the array of the 2 n_steps + 1 step and
+    midpoint times.  The equation is linear, so RK4 step k is a propagator
+    P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) that depends on J S at the step's
+    start, midpoint and end alone; the propagators come from batched
+    products, and the samples Gamma_k = P_{k-1} ... P_0 from the
+    ceil(log2 n_steps) batched products of ``_prefix_products``.  The path
+    keeps the stack of J S(t_k) at its samples (``fields``), so its
+    off-sample values, cubic Hermite on Gamma_k and Gamma'_k, call ``gen``
+    no more.
 
     Raises ValueError if the integrated samples lose the symplectic
     condition beyond ``tol`` (reduce the step by raising n_steps).
     """
     form = standard_jmat(dim // 2) if form is None else np.asarray(form, float)
     h = 1.0 / n_steps
-    fields = _field_stack(gen, form, np.linspace(0.0, 1.0, 2 * n_steps + 1))
-    start, mid, end = fields[:-1:2], fields[1::2], fields[2::2]
-    k = mid + (0.5 * h) * (mid @ start)  # K2
-    steps = start + 2 * k
-    k = mid + (0.5 * h) * (mid @ k)  # K3
-    steps += 2 * k
-    steps += end + h * (end @ k)  # K4
+    # J S at the sample times and at the midpoints, each contiguous; each
+    # stack is dropped once read, so that at most four are held
+    stack = _stack(gen, np.linspace(0.0, 1.0, 2 * n_steps + 1), dim)
+    fields, mid = form @ stack[::2], form @ stack[1::2]
+    del stack
+    start, end = fields[:-1], fields[1:]
+    k2 = mid + (0.5 * h) * (mid @ start)
+    k3 = mid + (0.5 * h) * (mid @ k2)
+    del mid
+    steps = start + 2 * k2
+    del k2
+    steps += 2 * k3
+    steps += end + h * (end @ k3)  # K4
     steps *= h / 6.0
     steps += np.eye(dim)
     mats = np.empty((n_steps + 1, dim, dim))
     mats[0] = np.eye(dim)
-    for k in range(n_steps):
-        np.matmul(steps[k], mats[k], out=mats[k + 1])
+    _prefix_products(steps, mats[1:])
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     try:
         path = SymplecticPath(ts, mats, form=form, tol=tol)
@@ -655,12 +670,13 @@ def path_from_generator(
     # attached after construction: the samples solve Gamma' = J S Gamma by
     # construction, so the constructor's spot check, one more call of gen,
     # has nothing to test
-    path.generator, path._fields = gen, fields[::2].copy()
+    path.generator, path._fields = gen, fields
     return path
 
 
 def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> SymplecticPath:
-    """Path generated by S(t) - delta * I.
+    """Path generated by S(t) - delta * I, built by ``path_from_generator``
+    from one call of the input path's generator.
 
     For |delta| below the spectral scale of the asymptotic data, the index
     shifts by -sgn(delta) * (dim of the endpoint eigenvalue-1 kernel) / 2;
@@ -672,59 +688,43 @@ def perturbed_path(path: SymplecticPath, delta: float, n_steps: int = 2048) -> S
     base = path.generator
     shift = delta * np.eye(path.dim)
 
-    def gen(t: float) -> np.ndarray:
+    def gen(t: np.ndarray) -> np.ndarray:
         return base(t) - shift
 
     return path_from_generator(gen, path.dim, form=path.form, n_steps=n_steps, tol=max(path.tol, 1e-8))
 
 
-def _resample_times(p1: SymplecticPath, p2: SymplecticPath) -> np.ndarray:
-    ts = np.union1d(p1.ts, p2.ts)
-    ts[0], ts[-1] = 0.0, 1.0
-    return ts
-
-
 def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
     """Pointwise block-diagonal join; the index is additive over the blocks."""
     d1, d2 = p1.dim, p2.dim
-    ts = _resample_times(p1, p2)
+    ts = np.union1d(p1.ts, p2.ts)
+    ts[0], ts[-1] = 0.0, 1.0
 
     def joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros((d1 + d2, d1 + d2))
-        out[:d1, :d1] = a
-        out[d1:, d1:] = b
+        # one matrix, or a stack of them, of each block
+        out = np.zeros(a.shape[:-2] + (d1 + d2, d1 + d2))
+        out[..., :d1, :d1] = a
+        out[..., d1:, d1:] = b
         return out
 
-    same_grid = len(ts) == len(p1.ts) == len(p2.ts)
-    if same_grid:
-        mats = np.zeros((len(ts), d1 + d2, d1 + d2))
-        mats[:, :d1, :d1] = p1.mats
-        mats[:, d1:, d1:] = p2.mats
+    if len(ts) == len(p1.ts) == len(p2.ts):
+        mats = joined(p1.mats, p2.mats)
     else:
         mats = np.array([joined(p1.at(t), p2.at(t)) for t in ts])
     form = joined(p1.form, p2.form)
 
     evaluator = None
-    if (p1.evaluator is not None or p1.generator is not None) and (
-        p2.evaluator is not None or p2.generator is not None
-    ):
+    if all(p.evaluator is not None or p.generator is not None for p in (p1, p2)):
         def evaluator(t: float) -> np.ndarray:
             return joined(p1.at(t), p2.at(t))
 
     generator = None
     if p1.generator is not None and p2.generator is not None:
-        def generator(t: float) -> np.ndarray:
+        def generator(t: np.ndarray) -> np.ndarray:
             return joined(p1.generator(t), p2.generator(t))
 
-    path = SymplecticPath(
-        ts, mats, form=form, generator=generator, evaluator=evaluator,
-        tol=max(p1.tol, p2.tol),
-    )
-    if same_grid and p1._fields is not None and p2._fields is not None:
-        path._fields = np.zeros(mats.shape)
-        path._fields[:, :d1, :d1] = p1._fields
-        path._fields[:, d1:, d1:] = p2._fields
-    return path
+    return SymplecticPath(ts, mats, form=form, generator=generator, evaluator=evaluator,
+                          tol=max(p1.tol, p2.tol))
 
 
 def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
@@ -774,19 +774,19 @@ def save_path_csv(path: SymplecticPath, file) -> None:
 
 
 def load_path_csv(file, form: np.ndarray | None = None, tol: float = 1e-6) -> SymplecticPath:
-    """Read a path written by save_path_csv.
+    """Read a path written by save_path_csv from a path or an open text
+    handle, through ``_files.read_csv_floats``.
 
     The form defaults to the standard one; pass the original form for
     paths that preserve a different pairing.  Off-sample evaluation falls
     back to cubic interpolation of the samples.
     """
-    data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv_floats(file)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
-        raise ValueError(
-            f"non-finite sample {data[row, col]} in data row {row + 1}, column {col + 1}"
-        )
+        raise ValueError(f"non-finite sample {data[row, col]} in data row {row + 1}, "
+                         f"column {col + 1}")
     ts = data[:, 0]
     n_entries = data.shape[1] - 1
     d = int(round(np.sqrt(n_entries)))

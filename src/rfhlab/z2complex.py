@@ -3,10 +3,11 @@
 Generators carry an action value and (optionally) an integer degree.  A
 complex or a chain map stores one read-only 0/1 uint8 matrix M[to, from]
 over the canonical order (action descending, then id), built from ordered
-(from, to) id pairs or adopted as is; its id pairs `.pairs` or `.off_diag`
-are read-only views derived on each read.  Boundary entries obey the
-filtration rule action(to) <= action(from) and, when both degrees are
-present, degree(to) = degree(from) - 1.  A chain map has a unit diagonal
+(from, to) id pairs or adopted as is and checked, or adopted unchecked
+from a constructor that builds it to meet the rules; its id pairs `.pairs`
+or `.off_diag` are read-only views derived on each read.  Boundary entries
+obey the filtration rule action(to) <= action(from) and, when both degrees
+are present, degree(to) = degree(from) - 1.  A chain map has a unit diagonal
 and off-diagonal entries that strictly lower the action, so its matrix is
 I + N with N strictly lower triangular, and is invertible.
 
@@ -132,6 +133,14 @@ class _CanonicalMatrix:
         self._check(ranked, matrix)
         matrix.setflags(write=False)
         self.generators, self.order, self.matrix = generators, [g.id for g in ranked], matrix
+
+    @classmethod
+    def _built(cls, generators, order, matrix):
+        """Adopt, unchecked, a matrix built to meet the rules over the canonical ``order``."""
+        obj = cls.__new__(cls)
+        matrix.setflags(write=False)
+        obj.generators, obj.order, obj.matrix = list(generators), list(order), matrix
+        return obj
 
 
 class FilteredZ2Complex(_CanonicalMatrix):
@@ -372,9 +381,9 @@ phi_apply = boundary_apply
 
 
 def phi_invert(m: ChainMapMatrix) -> ChainMapMatrix:
-    """Inverse chain map, exactly: (I + N)^-1 is unit lower triangular in
-    canonical order too, so its entries strictly lower the action."""
-    return ChainMapMatrix.from_matrix(m.generators, _tri_inverse(m.matrix))
+    """Inverse chain map, exactly, adopted as built: (I + N)^-1 = sum N^k is
+    unit lower triangular in m's order too, so it strictly lowers the action."""
+    return ChainMapMatrix._built(m.generators, m.order, _tri_inverse(m.matrix))
 
 
 def verify_chain_map(m: ChainMapMatrix, c_source: FilteredZ2Complex, c_target: FilteredZ2Complex):
@@ -431,7 +440,8 @@ def load_instance(file):
 def random_filtered_complex(rng: np.random.Generator, n_gens: int = 12) -> FilteredZ2Complex:
     """Square-zero instance: a paired boundary conjugated by a random
     triangular degree-zero automorphism, so d^2 = 0 holds by construction
-    while the counts look unstructured."""
+    while the counts look unstructured, and adopted as built: the
+    automorphism preserves degree and lowers the action."""
     n_pairs = n_gens // 2
     gens = []
     for i in range(n_pairs):
@@ -448,11 +458,13 @@ def random_filtered_complex(rng: np.random.Generator, n_gens: int = 12) -> Filte
     eligible = (act[:, None] < act[None, :] - 1e-9) & (deg[:, None] == deg[None, :])
     t = np.eye(len(gens), dtype=np.uint8)
     t[eligible] = rng.random(np.count_nonzero(eligible)) < 0.4
-    return FilteredZ2Complex.from_matrix(gens, gf2_matmul(gf2_matmul(t, d), _tri_inverse(t)))
+    return FilteredZ2Complex._built(gens, [g.id for g in ranked],
+                                    gf2_matmul(gf2_matmul(t, d), _tri_inverse(t)))
 
 
 def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float = 0.3):
-    """Random unit-diagonal triangular chain-map matrix on fresh generators."""
+    """Random unit-diagonal triangular chain-map matrix on fresh generators,
+    adopted as built: its bits lie below the diagonal, over distinct actions."""
     degrees = rng.integers(0, 3, size=n_gens).tolist()
     gens = [Generator(id=f"g{i}", degree=deg, action=float(i) + 1.0)
             for i, deg in enumerate(degrees)]
@@ -462,4 +474,4 @@ def random_triangular(rng: np.random.Generator, n_gens: int = 16, density: float
     full = np.zeros((n_gens, n_gens), dtype=np.uint8)
     full[np.tri(n_gens, k=-1, dtype=bool)] = rng.random(n_gens * (n_gens - 1) // 2) < density
     p = np.eye(n_gens, dtype=np.uint8) | full[::-1, ::-1].T
-    return ChainMapMatrix.from_matrix(gens, p)
+    return ChainMapMatrix._built(gens, [g.id for g in reversed(gens)], p)

@@ -117,14 +117,22 @@ def test_no_wasteful_calls(path):
                           gf2=path.name == "z2complex.py") == []
 
 
+# the calls that open a file themselves: ``open`` and numpy's file readers and writers
+OPENERS = {"open", "loadtxt", "genfromtxt", "savetxt", "fromfile"}
+
+
 def open_calls(source: str) -> list[str]:
     """Calls of ``open`` (bare, or as an attribute such as ``io.open`` or
-    ``path.open``): files are opened in ``_files.py`` alone, so that every
-    writer keeps its path-or-handle-or-None rule and its chunked writes."""
-    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-             and ((isinstance(node.func, ast.Name) and node.func.id == "open")
-                  or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"))]
-    return [f"line {node.lineno}: {_dotted(node.func) or 'open'}("
+    ``path.open``) and of ``np.loadtxt``, ``np.genfromtxt``, ``np.savetxt``
+    and ``np.fromfile``, which open a path themselves: files are opened in
+    ``_files.py`` alone, so that every writer keeps its path-or-handle-or-None
+    rule and its chunked writes, and every reader its path-or-handle rule."""
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and name(node.func) in OPENERS]
+    return [f"line {node.lineno}: {_dotted(node.func) or name(node.func)}("
             for node in sorted(calls, key=lambda node: node.lineno)]
 
 
@@ -132,6 +140,14 @@ def test_open_call_is_found():
     source = ("with open(p, 'w') as fh:\n    fh.write(t)\nf = io.open(p)\n"
               "g = pathlib.Path(p).open()\nh = opener(p)\nk = reopen(p)\n")
     assert open_calls(source) == ["line 1: open(", "line 3: io.open(", "line 4: open("]
+
+
+def test_numpy_file_calls_are_found():
+    source = ("a = np.loadtxt(p, delimiter=',')\nb = numpy.genfromtxt(p)\nnp.savetxt(p, a)\n"
+              "c = np.fromfile(p)\nd = loadtxt(p)\ne = np.load_text(p)\nf = np.frombuffer(b)\n"
+              "g = fh.loadtxt_rows(p)\n")
+    assert open_calls(source) == ["line 1: np.loadtxt(", "line 2: numpy.genfromtxt(",
+                                  "line 3: np.savetxt(", "line 4: np.fromfile(", "line 5: loadtxt("]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_files.py"),

@@ -13,7 +13,7 @@ from rfhlab.rsindex import (
     ResolutionError,
     SymplecticPath,
     _darboux_frame,
-    _field_stack,
+    _constant,
     _phases,
     block_diag,
     conjugate_path,
@@ -28,7 +28,7 @@ from rfhlab.rsindex import (
     theta_form,
     theta_path,
 )
-from rfhlab.symlin import random_symmetric, symplectic_defect
+from rfhlab.symlin import random_symmetric, standard_jmat, symplectic_defect
 from symplectic_helpers import random_symplectic
 
 
@@ -162,7 +162,7 @@ def test_block_additivity_random_pairs():
         p1 = rotation_path(1, angle, n_samples=385)
         a = random_symmetric(2, rng, 1.0)
         b = random_symmetric(2, rng, 1.0)
-        p2 = path_from_generator(lambda t: a + np.sin(2 * np.pi * t) * b, 2, n_steps=384)
+        p2 = path_from_generator(lambda t: a + np.sin(2 * np.pi * t)[:, None, None] * b, 2, n_steps=384)
         assert rs_index(block_diag(p1, p2)) == rs_index(p1) + rs_index(p2)
 
 
@@ -174,7 +174,7 @@ def test_catenation_over_segments():
         a_mat = random_symmetric(2, rng, 2.0)
         b_mat = random_symmetric(2, rng, 1.0)
         p = path_from_generator(
-            lambda t: a_mat + np.sin(2 * np.pi * t + 0.3) * b_mat, 2, n_steps=768
+            lambda t: a_mat + np.sin(2 * np.pi * t + 0.3)[:, None, None] * b_mat, 2, n_steps=768
         )
         assert rs_index_segment(p, 0.0, 0.5) + rs_index_segment(p, 0.5, 1.0) == rs_index(p)
 
@@ -184,7 +184,7 @@ def test_conjugation_invariance():
     for _ in range(10):
         a = random_symmetric(2, rng, 1.5)
         b = random_symmetric(2, rng, 1.0)
-        p = path_from_generator(lambda t: a + np.cos(2 * np.pi * t) * b, 2, n_steps=768)
+        p = path_from_generator(lambda t: a + np.cos(2 * np.pi * t)[:, None, None] * b, 2, n_steps=768)
         psi = random_symplectic(1, rng, 0.6)
         assert rs_index(conjugate_path(p, psi)) == rs_index(p)
 
@@ -231,7 +231,7 @@ def _touching_rotation(n_steps=1024):
         return 8 * np.pi * t * (1 - t)
 
     def gen(t):
-        return 8 * np.pi * (1 - 2 * t) * np.eye(2)
+        return 8 * np.pi * (1 - 2 * t)[:, None, None] * np.eye(2)
 
     def ev(t):
         return np.cos(theta(t)) * np.eye(2) + np.sin(theta(t)) * jmat
@@ -267,7 +267,7 @@ def test_touching_path_lists_a_touch_of_signature_zero_and_perturbation_resolves
 
 def _shear_path():
     def gen(t):
-        return -2 * np.pi * np.cos(2 * np.pi * t) * np.array([[0.0, 0.0], [0.0, 1.0]])
+        return -2 * np.pi * np.cos(2 * np.pi * t)[:, None, None] * np.array([[0.0, 0.0], [0.0, 1.0]])
 
     def ev(t):
         return np.array([[1.0, np.sin(2 * np.pi * t)], [0.0, 1.0]])
@@ -345,7 +345,8 @@ def _late_rotation():
 
     ts = np.linspace(0, 1, 513)
     return SymplecticPath(ts, np.array([ev(t) for t in ts]),
-                          generator=lambda t: 40 * max(0.0, t - 0.3) * np.eye(2), evaluator=ev)
+                          generator=lambda t: 40 * np.maximum(0.0, t - 0.3)[:, None, None] * np.eye(2),
+                          evaluator=ev)
 
 
 CROSSING_PANEL = {
@@ -462,10 +463,58 @@ def _rk4_rotation_error(angle, n_steps):
 @pytest.mark.parametrize("m, angle", [(1, 4.0), (2, -9.0), (3, 2 * np.pi)])
 def test_constant_generator_matches_rotation_samples(m, angle):
     n = 512
-    p = path_from_generator(lambda t: angle * np.eye(2 * m), 2 * m, n_steps=n)
+    p = path_from_generator(_constant(angle * np.eye(2 * m)), 2 * m, n_steps=n)
     q = rotation_path(m, angle, n_samples=n + 1)
     assert np.array_equal(p.ts, q.ts)
     assert np.max(np.abs(p.mats - q.mats)) <= 1.5 * _rk4_rotation_error(angle, n) + 1e-13
+
+
+def ref_path_from_generator(gen, dim, n_steps):
+    """The samples of the sequential build: one generator call per time,
+    through ``t[None]``, the same RK4 propagators, and Gamma_{k+1} = P_k
+    Gamma_k one product at a time."""
+    form, h = standard_jmat(dim // 2), 1.0 / n_steps
+    fields = np.array([form @ gen(t[None])[0] for t in np.linspace(0.0, 1.0, 2 * n_steps + 1)])
+    start, mid, end = fields[:-1:2], fields[1::2], fields[2::2]
+    k2 = mid + (0.5 * h) * (mid @ start)
+    k3 = mid + (0.5 * h) * (mid @ k2)
+    steps = np.eye(dim) + (h / 6.0) * (start + 2 * k2 + 2 * k3 + end + h * (end @ k3))
+    mats = [np.eye(dim)]
+    for step in steps:
+        mats.append(step @ mats[-1])
+    return np.array(mats), fields[::2]
+
+
+def _index_or_none(path):
+    try:
+        return rs_index(path)
+    except ResolutionError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@example(m=1, n_steps=1, seed=0)
+@example(m=3, n_steps=2048, seed=1)
+@given(m=st.sampled_from([1, 2, 3]), n_steps=st.sampled_from([1, 2, 3, 5, 383, 384, 1000, 2048]),
+       seed=st.integers(0, 2**32 - 1))
+def test_prefix_product_build_matches_the_sequential_build(m, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_symmetric(2 * m, rng, 1.0), random_symmetric(2 * m, rng, 1.0)
+    phase = float(rng.uniform(0, TWO_PI))
+
+    def gen(t):
+        return a + np.sin(TWO_PI * t + phase)[:, None, None] * b
+
+    ref_mats, ref_fields = ref_path_from_generator(gen, 2 * m, n_steps)
+    # no symplecticity bound: a coarse build is compared too
+    path = path_from_generator(gen, 2 * m, n_steps=n_steps, tol=np.inf)
+    assert np.max(np.abs(path.mats - ref_mats)) <= 1e-11 * max(1.0, np.max(np.abs(ref_mats)))
+    assert np.max(np.abs(path.fields - ref_fields)) <= 1e-13 * max(1.0, np.max(np.abs(ref_fields)))
+    ref = SymplecticPath(path.ts, ref_mats, tol=np.inf)
+    ref.generator, ref._fields = gen, ref_fields
+    got, want = _index_or_none(path), _index_or_none(ref)
+    if got is not None and want is not None:
+        assert got == want
 
 
 def _quadratic_turn(t):
@@ -477,33 +526,42 @@ def _quadratic_turn(t):
 def test_time_dependent_generator_converges_at_fourth_order():
     errors = []
     for n in (256, 512):
-        p = path_from_generator(lambda t: 6.0 * t * np.eye(2), 2, n_steps=n)
+        p = path_from_generator(lambda t: 6.0 * t[:, None, None] * np.eye(2), 2, n_steps=n)
         errors.append(max(np.max(np.abs(p.mats[k] - _quadratic_turn(t))) for k, t in enumerate(p.ts)))
     assert errors[1] < 1e-9
     assert 12 < errors[0] / errors[1] < 20
 
 
 def test_generator_is_called_once_per_step_and_midpoint_with_floats():
+    # one call, with the float array of the 2n + 1 step and midpoint times
     calls = []
 
     def gen(t):
         calls.append(t)
-        return 2.0 * t * np.eye(2)
+        return 2.0 * t[:, None, None] * np.eye(2)
 
     n = 64
     p = path_from_generator(gen, 2, n_steps=n)
-    assert len(calls) == 2 * n + 1
-    assert all(type(t) is float for t in calls)
-    assert calls == np.linspace(0.0, 1.0, 2 * n + 1).tolist()
+    assert len(calls) == 1
+    assert calls[0].dtype == np.float64
+    assert calls[0].tolist() == np.linspace(0.0, 1.0, 2 * n + 1).tolist()
     p.at(0.3)  # off-sample values come from the kept stack
-    assert len(calls) == 2 * n + 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [lambda t: np.eye(2), lambda t: np.zeros((len(t), 4, 4)),
+                                 lambda t: np.zeros((len(t) - 1, 2, 2))],
+                         ids=["one-matrix", "wrong-dim", "wrong-count"])
+def test_generator_of_the_wrong_shape_is_rejected(bad):
+    with pytest.raises(ValueError, match="shape"):
+        path_from_generator(bad, 2, n_steps=8)
 
 
 def test_hermite_dense_output_is_fourth_order():
     angle = 5.0
     errors = []
     for n in (256, 512):
-        p = path_from_generator(lambda t: angle * np.eye(2), 2, n_steps=n)
+        p = path_from_generator(_constant(angle * np.eye(2)), 2, n_steps=n)
         q = rotation_path(1, angle)
         offgrid = (np.arange(n) + 0.37) / n
         errors.append(max(np.max(np.abs(p.at(t) - q.evaluator(t))) for t in offgrid))
@@ -518,15 +576,17 @@ def test_generator_path_without_stack_computes_it_once():
 
     def gen(t):
         calls.append(t)
-        return 3.0 * np.eye(2)
+        return _constant(3.0 * np.eye(2))(t)
 
     p = SymplecticPath(ref.ts, ref.mats, generator=gen)
-    built = len(calls)
+    # the constructor's spot check evaluates the middle sample time alone
+    assert [c.tolist() for c in calls] == [[ref.ts[n // 2]]]
     assert np.array_equal(p.at(float(ref.ts[7])), ref.mats[7])
-    assert len(calls) == built
+    assert len(calls) == 1
     for t in (0.1234, 0.5678):
         assert np.max(np.abs(p.at(t) - ref.evaluator(t))) < 1e-10
-    assert len(calls) == built + n + 1
+    # the stack of every sample time, from one call
+    assert len(calls) == 2 and np.array_equal(calls[1], ref.ts)
 
 
 def _stack_bits(path):
@@ -537,15 +597,15 @@ def _stack_bits(path):
 @given(m=st.sampled_from([1, 2, 3]), angle=st.floats(-20.0, 20.0), tau=st.floats(-10.0, 10.0),
        hp=st.floats(0.1, 5.0), hpp=st.sampled_from([-2.0, 0.5, 3.0]), n=st.integers(257, 700))
 def test_constructor_stacks_equal_the_generator_stack_bitwise(m, angle, tau, hp, hpp, n):
-    # theta, rotation and block-joined paths carry their J S stacks; each
-    # must be the stack one generator call per sample would give
+    # every path's J S stack is form @ generator(ts): the one that
+    # path_from_generator keeps from its integration too
     theta = theta_path(tau, hp, hpp, n_samples=n)
     rot = rotation_path(m, angle, n_samples=n)
     other = rotation_path(1, angle + 1.0, n_samples=n)
-    gen = path_from_generator(lambda t: (1.0 + t) * np.diag([1.0, 2.0]), 2, n_steps=n - 1)
+    gen = path_from_generator(lambda t: (1.0 + t)[:, None, None] * np.diag([1.0, 2.0]), 2, n_steps=n - 1)
     for path in (theta, rot, block_diag(rot, theta), block_diag(theta, rot),
                  block_diag(other, rot), block_diag(gen, other), block_diag(block_diag(rot, gen), theta)):
-        assert _stack_bits(path) == _field_stack(path.generator, path.form, path.ts).tobytes()
+        assert _stack_bits(path) == (path.form @ path.generator(path.ts)).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -557,11 +617,12 @@ def test_model_lambda_path_index_makes_no_per_sample_generator_call(n):
         gen = path.generator
 
         def counted(t, gen=gen):
-            calls.append(t)
+            calls.extend(t.tolist())
             return gen(t)
 
         path.generator = counted
         assert rs_index(path).twice_value == 4 * k * (n - 1)
+        # the times at which the generator is evaluated, over all its calls
         assert len(calls) < 10 < path.n_samples
 
 
@@ -684,7 +745,8 @@ def _free_path(seed, m=1, n_steps=1024):
     rng = np.random.default_rng(seed)
     a, b = random_symmetric(2 * m, rng, 1.0), random_symmetric(2 * m, rng, 1.0)
     phase = float(rng.uniform(0, TWO_PI))
-    return path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase) * b, 2 * m, n_steps=n_steps)
+    return path_from_generator(lambda t: a + np.sin(TWO_PI * t + phase)[:, None, None] * b, 2 * m,
+                               n_steps=n_steps)
 
 
 # free paths with a crossing 1.4 to 3.5 samples after the start, which
@@ -817,7 +879,7 @@ def test_index_is_invariant_under_homotopies_with_fixed_endpoints(angle):
 @pytest.mark.parametrize("angle", [14.25, 15.0, 15.25, 15.5])
 def test_fast_constant_generator_on_384_steps_gives_the_closed_form(angle):
     # fast turns on the Hermite dense output of 384 steps
-    path = path_from_generator(lambda t: angle * np.eye(2), 2, n_steps=384)
+    path = path_from_generator(_constant(angle * np.eye(2)), 2, n_steps=384)
     assert rs_index(path).twice_value == 2 * _rotation_index(1, angle)
 
 

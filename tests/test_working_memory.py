@@ -23,7 +23,7 @@ from rfhlab.gradflow import (
     second_variation,
 )
 from rfhlab.model import make_model
-from rfhlab.rsindex import conjugate_path, rotation_path, save_path_csv
+from rfhlab.rsindex import conjugate_path, perturbed_path, rotation_path, save_path_csv, theta_path
 from symplectic_helpers import random_symplectic
 
 
@@ -187,3 +187,10 @@ def test_loop_json_memory(tmp_path):
     lift = lift_loop(discrete_orbit_loop(sy, 1, 4096), sigma=0.3)
     name = str(tmp_path / "snapshot.json")
     assert traced_peak_mib(lambda: loop_to_json(lift, name)) <= 1.6
+
+
+def test_perturbed_path_memory():
+    # criterion 2's 2048-step build: at most four stacks of 2048 4 x 4
+    # matrices at a time, 1 MiB (sequential build, with its stride-2 views
+    # of one stack of 4097: 1.35 MiB)
+    assert traced_peak_mib(lambda: perturbed_path(theta_path(2 * np.pi, 1.0, 1.0), 1e-3)) <= 1.2

@@ -549,6 +549,30 @@ def test_random_filtered_complex_draws_match_loop(n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _assert_adopted_as_checked(out):
+    # a constructor that adopts its matrix as built must leave what the
+    # checked adoption of the same generators and matrix gives
+    checked = type(out).from_matrix(out.generators, out.matrix)
+    assert out.order == checked.order
+    assert out.matrix.tobytes() == checked.matrix.tobytes() and out.matrix.shape == checked.matrix.shape
+    assert not out.matrix.flags.writeable
+    ranked = sorted(out.generators, key=lambda g: (-g.action, g.id))
+    type(out)._check(ranked, out.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 150), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_constructors_adopt_what_the_checked_path_gives(n, density, seed):
+    rng = np.random.default_rng(seed)
+    m = random_triangular(rng, n, density=density)
+    tied = _tied_chain_map(rng, n, density)  # maps with tied actions
+    for out in (m, phi_invert(m), tied, phi_invert(tied), random_filtered_complex(rng, n)):
+        _assert_adopted_as_checked(out)
+    # the lists are the adopter's own: changing the source's leaves them
+    inv = phi_invert(m)
+    assert inv.generators is not m.generators and inv.order is not m.order
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 130), cols=st.integers(1, 130),
        seed=st.integers(0, 2**32 - 1), data=st.data())
