@@ -196,6 +196,7 @@ def criterion_5(seed: int = 1):
 
 
 # -- 6: hybrid index branch consistency ----------------------------------------------------
+# the arithmetic check of grading.assemble_hybrid_index against mu(K) - mu(Lambda) - dim(Lambda)
 
 
 def criterion_6(seed: int = 2):

@@ -54,7 +54,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._files import read_json, write_chunks, write_text
+from ._files import number, number_array, read_json, read_record, string, write_chunks, write_text
 from .model import ModelSystem, radius
 
 __all__ = [
@@ -738,28 +738,19 @@ def loop_to_json(loop, file=None) -> str | None:
 
 
 def loop_from_json(source):
-    """The loop ``loop_to_json`` wrote.
+    """The loop ``loop_to_json`` wrote, its fields read by ``_files.read_record``.
 
-    Raises ValueError naming the field that is missing or ill-typed: a
-    payload that is no object, a ``type`` other than rabinowitz or
-    extended, ``x`` not a (N_t, 2n) array, ``tau`` not a number, or
-    ``eta`` / ``zeta`` not arrays of N_t numbers.
+    Raises ValueError naming the field that is missing, ill-typed or of the
+    wrong shape: ``type`` not rabinowitz or extended, ``x`` not a (N_t, 2n)
+    array, ``tau`` not a number, or ``eta`` / ``zeta`` not N_t numbers.
     """
     payload = read_json(source)
-    if not isinstance(payload, dict):
-        raise ValueError(f"a loop file holds a JSON object, got {type(payload).__name__}")
-    kind = payload.get("type")
+    kind = read_record(payload, "loop file", {"type": string})["type"]
     if kind not in ("rabinowitz", "extended"):
         raise ValueError(f"loop field 'type' must be 'rabinowitz' or 'extended', got {kind!r}")
     names = ("x", "tau") if kind == "rabinowitz" else ("x", "eta", "zeta")
-    values = {}
-    for name in names:
-        if name not in payload:
-            raise ValueError(f"{kind} loop has no field {name!r}")
-        try:
-            values[name] = float(payload[name]) if name == "tau" else np.array(payload[name], float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"loop field {name!r} is not numeric: {exc}") from None
+    values = read_record(payload, f"{kind} loop file",
+                         {name: number if name == "tau" else number_array for name in names})
     x = values["x"]
     if x.ndim != 2 or not x.size:
         raise ValueError(f"loop field 'x' must be an (N_t, 2n) array, got shape {x.shape}")

@@ -20,11 +20,10 @@ as exact half-integers, never from floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._files import read_json, write_json, write_text
+from ._files import integer, number, read_json, read_record, string, write_json, write_text
 from .model import ModelSystem
 from .rsindex import HalfInteger, block_diag, rotation_path, rs_index, theta_path
 
@@ -37,7 +36,6 @@ __all__ = [
     "cascade_dims",
     "fredholm_index",
     "assemble_hybrid_index",
-    "boundary_correction_term",
     "model_lambda_path",
     "model_components",
     "model_generators",
@@ -78,28 +76,24 @@ class CriticalComponent:
         return self.dim_k + 1
 
 
+def _half(twice: int, c: CriticalComponent, level: str) -> int:
+    """twice/2 for the grading mu(level) of ``c``; IndexArithmeticError if it is odd."""
+    if twice % 2 != 0:
+        raise IndexArithmeticError(f"mu_rs = {c.mu_rs} and dim(K) = {c.dim_k} are inconsistent: "
+                                   f"mu({level}) would be the non-integer {twice}/2")
+    return twice // 2
+
+
 def mu_lambda(c: CriticalComponent) -> int:
     """mu(Lambda) = mu_rs - dim(Lambda)/2, exact."""
-    twice = c.mu_rs.twice_value - c.dim_lambda
-    if twice % 2 != 0:
-        raise IndexArithmeticError(
-            f"mu_rs = {c.mu_rs} and dim(Lambda) = {c.dim_lambda} are inconsistent: "
-            f"mu(Lambda) would be the non-integer {twice}/2"
-        )
-    return twice // 2
+    return _half(c.mu_rs.twice_value - c.dim_lambda, c, "Lambda")
 
 
 def mu_K(c: CriticalComponent) -> int:
     """mu(K): the constants convention 1 - n, else mu_rs - (dim K - 1)/2."""
     if c.kind == "constants":
         return 1 - c.n
-    twice = c.mu_rs.twice_value - (c.dim_k - 1)
-    if twice % 2 != 0:
-        raise IndexArithmeticError(
-            f"mu_rs = {c.mu_rs} and dim(K) = {c.dim_k} are inconsistent: "
-            f"mu(K) would be the non-integer {twice}/2"
-        )
-    return twice // 2
+    return _half(c.mu_rs.twice_value - (c.dim_k - 1), c, "K")
 
 
 @dataclass(frozen=True)
@@ -122,14 +116,6 @@ class GradedGenerator:
         return mu_K(self.component) + self.ind_f
 
 
-def _is_component(x) -> bool:
-    return isinstance(x, CriticalComponent)
-
-
-def _is_generator(x) -> bool:
-    return isinstance(x, GradedGenerator)
-
-
 def cascade_dims(mode: str, lower, upper) -> int:
     """Dimension of the cascade moduli space between the two endpoints.
 
@@ -140,139 +126,82 @@ def cascade_dims(mode: str, lower, upper) -> int:
     dividing by the sigma-translation action).
     Each endpoint is a CriticalComponent or a GradedGenerator.
     """
-    lc = lower.component if _is_generator(lower) else lower
-    uc = upper.component if _is_generator(upper) else upper
-    if not (_is_component(lc) and _is_component(uc)):
+    gen_lo, gen_up = isinstance(lower, GradedGenerator), isinstance(upper, GradedGenerator)
+    lc = lower.component if gen_lo else lower
+    uc = upper.component if gen_up else upper
+    if not (isinstance(lc, CriticalComponent) and isinstance(uc, CriticalComponent)):
         raise ValueError("endpoints must be components or graded generators")
 
     if mode == "extended":
-        if _is_generator(lower) and _is_generator(upper):
+        if gen_lo and gen_up:
             return lower.mu_f - upper.mu_f
-        if _is_generator(lower):
+        if gen_lo:
             return lower.mu_f - mu_lambda(uc) - 1
-        if _is_generator(upper):
+        if gen_up:
             return mu_lambda(lc) + lc.dim_lambda - upper.mu_f
         return mu_lambda(lc) + lc.dim_lambda - mu_lambda(uc) - 1
 
     if mode == "rabinowitz":
-        if _is_generator(lower) and _is_generator(upper):
+        if gen_lo and gen_up:
             return lower.mu_f_rf - upper.mu_f_rf - 1
-        if _is_generator(lower):
+        if gen_lo:
             return lower.mu_f_rf - mu_K(uc) - 1
-        if _is_generator(upper):
+        if gen_up:
             return mu_K(lc) + lc.dim_k - upper.mu_f_rf - 1
         return mu_K(lc) + lc.dim_k - mu_K(uc) - 1
 
     if mode == "hybrid":
-        if _is_generator(lower) and _is_generator(upper):
+        if gen_lo and gen_up:
             return lower.mu_f_rf - upper.mu_f
-        if _is_component(lower) and _is_component(upper):
+        if not (gen_lo or gen_up):
             return mu_K(lc) + lc.dim_k - mu_lambda(uc)
         raise ValueError("hybrid endpoints must be both components or both generators")
 
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def boundary_correction_term(n: int) -> Fraction:
-    """Boundary correction of the half-cylinder index problem; always zero.
-
-    With ambient dimension 2m = 2(2n + 1), diagonal boundary subspace W0
-    of dimension 2n + 1, and coupling subspace V0 of dimension n meeting
-    W0 in dimension n, the correction m/2 - (dim W0 + 2 dim V0
-    - 2 dim(W0 cap V0 x V0))/2 collapses to zero for every n.
-    """
-    m = 2 * n + 1
-    dim_w0 = 2 * n + 1
-    dim_v0 = n
-    dim_cap = n
-    return Fraction(m, 2) - Fraction(dim_w0 + 2 * dim_v0 - 2 * dim_cap, 2)
-
-
-def assemble_hybrid_index(
-    mu_rs_w1: HalfInteger,
-    nu_w1: int,
-    mu_rs_w2: HalfInteger,
-    nu_w2: int,
-    lambda_sign: int,
-    n: int = 1,
-):
+def assemble_hybrid_index(mu_rs_w1: HalfInteger, nu_w1: int, mu_rs_w2: HalfInteger, nu_w2: int,
+                          lambda_sign: int):
     """Assemble the half-cylinder Fredholm index from raw path data.
 
     Returns (index, mu_K, mu_Lambda) where the asymptotic identifications
     are mu(Lambda) = -(mu_rs(W2) + nu(W2)/2) and, depending on the sign of
     the regularity scalar, mu(K) = mu_rs(W1) - nu(W1)/2 (+1 for negative
-    sign).  The scalar's sign also fixes the decoupled multiplier block's
-    index (0 for positive, 1 for negative); the two dependencies cancel,
-    so the total equals mu(K) - mu(Lambda) - dim(Lambda) either way.
+    sign).  The index adds the half-cylinder block's, mu_rs(W1) - nu(W1)/2
+    + mu_rs(W2) - nu(W2)/2 (its boundary correction is zero for every n),
+    and the multiplier block's (0 for positive sign, 1 for negative):
+    mu(K) - mu(Lambda) - nu(W2) by algebra.  Raises IndexArithmeticError if
+    the W1 or W2 data give a half-integer index.
     """
     if lambda_sign not in (-1, 1):
         raise ValueError("lambda_sign must be +1 or -1 (regularity scalar sign)")
-    k_corr = boundary_correction_term(n)
-    if k_corr != 0:
-        raise IndexArithmeticError(f"boundary correction term is {k_corr}, not 0")
-
     twice_a = mu_rs_w1.twice_value - nu_w1          # 2 * (mu_rs(W1) - nu(W1)/2)
     twice_b = mu_rs_w2.twice_value - nu_w2          # 2 * (mu_rs(W2) - nu(W2)/2)
-    twice_dprime = twice_a + twice_b + 2 * int(k_corr)
-    if twice_dprime % 2 != 0:
-        raise IndexArithmeticError("half-cylinder block index is not an integer")
-    ind_dprime = twice_dprime // 2
-    ind_ddouble = 0 if lambda_sign > 0 else 1
-    index = ind_dprime + ind_ddouble
-
-    twice_mu_lam = -(mu_rs_w2.twice_value + nu_w2)
-    if twice_mu_lam % 2 != 0:
-        raise IndexArithmeticError("mu(Lambda) from W2 data is not an integer")
-    mu_lam = twice_mu_lam // 2
     if twice_a % 2 != 0:
         raise IndexArithmeticError("mu(K) from W1 data is not an integer")
-    mu_k = twice_a // 2 + (0 if lambda_sign > 0 else 1)
+    if twice_b % 2 != 0:
+        raise IndexArithmeticError("mu(Lambda) from W2 data is not an integer")
+    ind_ddouble = 0 if lambda_sign > 0 else 1
+    mu_lam = -(mu_rs_w2.twice_value + nu_w2) // 2
+    return (twice_a + twice_b) // 2 + ind_ddouble, twice_a // 2 + ind_ddouble, mu_lam
 
-    if index != mu_k - mu_lam - nu_w2:
-        raise IndexArithmeticError("hybrid index branches failed to compensate")
-    return index, mu_k, mu_lam
 
-
-def fredholm_index(mode: str, lower, upper, lambda_sign: int | None = None) -> int:
+def fredholm_index(mode: str, lower, upper) -> int:
     """Fredholm index of the linearized connecting problem.
 
     mode "cylinder": both endpoints at the Lambda level; the index is
     mu(Lambda^-) - mu(Lambda^+) - dim(Lambda^+).
 
     mode "hybrid": lower read at the K level, upper at the Lambda level;
-    requires the sign of the regularity scalar.  Both sign branches are
-    assembled from the decoupled-operator formulas and must agree; the
-    common value mu(K) + dim(K)... the operator index mu(K) - mu(Lambda)
-    - dim(Lambda) is returned.
+    the index is mu(K) - mu(Lambda) - dim(Lambda), for either sign of the
+    regularity scalar (``assemble_hybrid_index`` builds it from path data).
     """
-    lc = lower.component if _is_generator(lower) else lower
-    uc = upper.component if _is_generator(upper) else upper
+    lc = lower.component if isinstance(lower, GradedGenerator) else lower
+    uc = upper.component if isinstance(upper, GradedGenerator) else upper
     if mode == "cylinder":
         return mu_lambda(lc) - mu_lambda(uc) - uc.dim_lambda
     if mode == "hybrid":
-        if lambda_sign is None:
-            raise ValueError("hybrid mode requires the sign of the regularity scalar")
-        mu_k = mu_K(lc)
-        mu_lam = mu_lambda(uc)
-        dim_lam = uc.dim_lambda
-        # reconstruct the branch's decoupled data and re-assemble both ways
-        results = []
-        for sign in (1, -1):
-            twice_a = 2 * (mu_k - (0 if sign > 0 else 1))
-            nu_w1 = 1
-            mu_rs_w1 = HalfInteger(twice_a + nu_w1)
-            nu_w2 = dim_lam
-            mu_rs_w2 = HalfInteger(-2 * mu_lam - nu_w2)
-            idx, mk, ml = assemble_hybrid_index(mu_rs_w1, nu_w1, mu_rs_w2, nu_w2, sign, n=lc.n)
-            if (mk, ml) != (mu_k, mu_lam):
-                raise IndexArithmeticError(
-                    f"branch {sign:+d} re-assembled (mu_K, mu_Lambda) = ({mk}, {ml}), "
-                    f"expected ({mu_k}, {mu_lam})"
-                )
-            results.append(idx)
-        if results[0] != results[1]:
-            raise IndexArithmeticError("hybrid index depends on the regularity sign")
-        return results[0 if lambda_sign > 0 else 1]
+        return mu_K(lc) - mu_lambda(uc) - uc.dim_lambda
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -351,15 +280,19 @@ def components_to_json(components, file=None) -> str:
     return write_json(file, rows)
 
 
+_COMPONENT_FIELDS = {"id": string, "kind": string, "action": number, "dim_k": integer,
+                     "n": integer, "twice_mu_rs": integer}
+
+
 def components_from_json(source) -> list[CriticalComponent]:
-    return [
-        CriticalComponent(
-            id=r["id"], kind=r["kind"], action=float(r["action"]),
-            dim_k=int(r["dim_k"]), n=int(r["n"]),
-            mu_rs=HalfInteger(int(r["twice_mu_rs"])),
-        )
-        for r in read_json(source)
-    ]
+    """The components ``components_to_json`` wrote, each row read by
+    ``_files.read_record``: ValueError names a missing or ill-typed field."""
+    rows = read_json(source)
+    if not isinstance(rows, list):
+        raise ValueError(f"components file must be a JSON array, got {type(rows).__name__}")
+    records = [read_record(r, f"components file row {i}", _COMPONENT_FIELDS)
+               for i, r in enumerate(rows)]
+    return [CriticalComponent(mu_rs=HalfInteger(r.pop("twice_mu_rs")), **r) for r in records]
 
 
 def index_report_csv(components, file=None) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import integer, number, read_json, read_record, write_json
 from .symlin import standard_jmat
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "extended_flow",
     "reeb_orbits",
     "r_star_shift",
-    "integrate_flow_rk4",
     "model_to_json",
     "model_from_json",
 ]
@@ -342,22 +341,6 @@ def orbit_loop(sys: ModelSystem, family: ReebOrbitFamily, t, base: np.ndarray | 
     return np.cos(theta)[..., None] * base + np.sin(theta)[..., None] * (sys.jmat @ base)
 
 
-def integrate_flow_rk4(sys: ModelSystem, x0, t_final: float, n_steps: int = 2000):
-    """RK4 trajectory of x' = X_H(x); used for the energy-drift diagnostic."""
-    x = np.array(x0, dtype=float)
-    h = t_final / n_steps
-    traj = np.empty((n_steps + 1, x.size))
-    traj[0] = x
-    for k in range(n_steps):
-        k1 = sys.x_h(x)
-        k2 = sys.x_h(x + 0.5 * h * k1)
-        k3 = sys.x_h(x + 0.5 * h * k2)
-        k4 = sys.x_h(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        traj[k + 1] = x
-    return traj
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -373,11 +356,7 @@ def model_to_json(sys: ModelSystem, file=None) -> str:
 
 
 def model_from_json(source) -> ModelSystem:
-    """Rebuild a system from model_to_json output (path, file, or text)."""
-    payload = read_json(source)
-    return make_model(
-        n=int(payload["n"]),
-        r0=float(payload["r0"]),
-        r_plateau=float(payload["r_plateau"]),
-        h_thr=float(payload["h_thr"]),
-    )
+    """Rebuild a system from model_to_json output (path, file, or text); a
+    missing or ill-typed field raises ValueError naming it (``read_record``)."""
+    fields = {"n": integer, "r0": number, "r_plateau": number, "h_thr": number}
+    return make_model(**read_record(read_json(source), "model file", fields))

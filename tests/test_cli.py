@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import copy
 import filecmp
 import io
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfhlab import cli
-from rfhlab.gradflow import discrete_orbit_loop, loop_to_json
+from rfhlab.gradflow import discrete_orbit_loop, lift_loop, loop_to_json
+from rfhlab.grading import components_to_json, model_components
 from rfhlab.model import make_model, model_to_json
 from rfhlab.rsindex import rotation_path, save_path_csv
 
@@ -165,14 +168,12 @@ def test_malformed_loop_file_exits_two_naming_the_field(tmp_path, capsys, payloa
     assert "configuration error" in err and named in err
 
 
-def test_index_arithmetic_error_exits_four(monkeypatch, capsys):
-    from rfhlab import grading
-    from rfhlab.rsindex import HalfInteger
-
-    monkeypatch.setattr(grading, "boundary_correction_term", lambda n: 1)
-    with pytest.raises(grading.IndexArithmeticError, match="boundary correction"):
-        grading.assemble_hybrid_index(HalfInteger(3), 1, HalfInteger(-4), 2, 1)
-    assert run(["selftest", "--only", "6"]) == 4
+def test_index_arithmetic_error_exits_four(tmp_path, capsys):
+    # twice_mu_rs = 3 with dim_k = 3: mu(K) and mu(Lambda) would be half-integers
+    table = tmp_path / "components.json"
+    table.write_text('[{"id": "a", "kind": "orbit", "action": 1.0, "dim_k": 3, "n": 2, '
+                     '"twice_mu_rs": 3}]')
+    assert run(["grade", "--components", str(table)]) == 4
     assert "IndexArithmeticError" in capsys.readouterr().err
 
 
@@ -438,3 +439,82 @@ def test_fuzzed_command_lines_exit_with_a_documented_code(cli_files, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+# -- malformed input files -----------------------------------------------------------
+
+_SY1 = make_model(n=1)
+_LOOP1 = discrete_orbit_loop(_SY1, 1, 8)
+# per file-reading flag: the command that reads it, the file kind its
+# messages name, and valid file contents to start from
+INPUT_FILES = {
+    "--model": (["grade"], "model file", [json.loads(model_to_json(_SY1))]),
+    "--components": (["grade"], "components file",
+                     [json.loads(components_to_json(model_components(_SY1, ks=(1,))))]),
+    "--loop": (["flow", "--n", "1"], "loop file",
+               [json.loads(loop_to_json(_LOOP1)), json.loads(loop_to_json(lift_loop(_LOOP1)))]),
+}
+_NAN = float("nan")
+# values of another type than each field's: a non-integral float is one for an integer
+_INTEGER = ("1", [1], None, True, 1.5, _NAN)
+_NUMBER = ("1", [1], None, True, _NAN, float("inf"))
+_STRING = (1, ["orbit"], None, True)
+_ARRAY = ("1", None, True, 1.5, _NAN, [1])
+RETYPES = {"n": _INTEGER, "dim_k": _INTEGER, "twice_mu_rs": _INTEGER,
+           "r0": _NUMBER, "r_plateau": _NUMBER, "h_thr": _NUMBER, "action": _NUMBER,
+           "tau": _NUMBER, "id": _STRING, "kind": _STRING, "type": _STRING,
+           "x": _ARRAY, "eta": _ARRAY, "zeta": _ARRAY}
+
+
+@st.composite
+def malformed_inputs(draw):
+    """(flag, file contents, what stderr names): a valid file with one key
+    dropped, one value retyped, or the top level wrapped in a list."""
+    flag = draw(st.sampled_from(sorted(INPUT_FILES)))
+    _, kind, valid = INPUT_FILES[flag]
+    payload = copy.deepcopy(draw(st.sampled_from(valid)))
+    how = draw(st.sampled_from(("drop", "retype", "wrap")))
+    if how == "wrap":
+        return flag, [payload], kind
+    rows = payload if isinstance(payload, list) else [payload]
+    record = rows[draw(st.integers(0, len(rows) - 1))]
+    key = draw(st.sampled_from(sorted(record)))
+    if how == "drop":
+        del record[key]
+    else:
+        record[key] = draw(st.sampled_from(RETYPES[key]))
+    return flag, payload, repr(key)
+
+
+_MODEL, _ROWS = INPUT_FILES["--model"][2][0], INPUT_FILES["--components"][2][0]
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=malformed_inputs())
+@example(case=("--model", {"n": 1}, "'r0'"))
+@example(case=("--model", dict(_MODEL, n=1.7), "'n'"))
+@example(case=("--components", [{k: v for k, v in _ROWS[0].items() if k != "twice_mu_rs"}],
+               "'twice_mu_rs'"))
+@example(case=("--components", [dict(_ROWS[1], twice_mu_rs=2.5)], "'twice_mu_rs'"))
+@example(case=("--model", dict(_MODEL, r0=10**400), "'r0'"))  # no float holds it
+def test_malformed_input_file_exits_two_or_four_naming_it(input_dir, case):
+    flag, payload, named = case
+    path = input_dir / "input.json"
+    path.write_text(json.dumps(payload))
+    command, _, _ = INPUT_FILES[flag]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*command, flag, str(path)])
+    assert code in (2, 4) and named in err.getvalue(), (code, err.getvalue())
+
+
+def test_json_nested_past_the_parser_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert run(["grade", "--model", str(deep)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from rfhlab.grading import (
     GradedGenerator,
     IndexArithmeticError,
     assemble_hybrid_index,
-    boundary_correction_term,
     cascade_dims,
     components_from_json,
     components_to_json,
@@ -135,33 +134,17 @@ def test_fredholm_cylinder_equal_endpoints():
 def test_fredholm_hybrid_branches_agree():
     lo = _component(4, 1, ident="lo")
     up = _component(2, 1, ident="up")
-    plus = fredholm_index("hybrid", lo, up, lambda_sign=+1)
-    minus = fredholm_index("hybrid", lo, up, lambda_sign=-1)
-    assert plus == minus == mu_K(lo) - mu_lambda(up) - up.dim_lambda
+    index = fredholm_index("hybrid", lo, up)
+    assert index == mu_K(lo) - mu_lambda(up) - up.dim_lambda
+    # both signs of the regularity scalar assemble it from their W1, W2 data
+    for sign in (1, -1):
+        twice_a = 2 * (mu_K(lo) - (0 if sign > 0 else 1))
+        w2 = HalfInteger(-2 * mu_lambda(up) - up.dim_lambda)
+        assert assemble_hybrid_index(HalfInteger(twice_a + 1), 1, w2, up.dim_lambda, sign) == (
+            index, mu_K(lo), mu_lambda(up))
     # and it matches the matching-space dimension minus the two manifold
     # dimensions
-    assert plus == cascade_dims("hybrid", lo, up) - lo.dim_k - up.dim_lambda
-
-
-def test_fredholm_branch_mismatch_is_named(monkeypatch):
-    import rfhlab.grading as grading
-
-    real = grading.assemble_hybrid_index
-
-    def off_by_one(*args, **kwargs):
-        idx, mk, ml = real(*args, **kwargs)
-        return idx, mk + 1, ml
-
-    monkeypatch.setattr(grading, "assemble_hybrid_index", off_by_one)
-    with pytest.raises(IndexArithmeticError, match="re-assembled"):
-        fredholm_index("hybrid", _component(4, 1, ident="lo"), _component(2, 1, ident="up"),
-                       lambda_sign=1)
-
-
-def test_fredholm_hybrid_requires_sign():
-    c = _component(4, 1)
-    with pytest.raises(ValueError):
-        fredholm_index("hybrid", c, c)
+    assert index == cascade_dims("hybrid", lo, up) - lo.dim_k - up.dim_lambda
 
 
 def test_assemble_hybrid_index_branch_pair():
@@ -170,9 +153,13 @@ def test_assemble_hybrid_index_branch_pair():
     assert (i1, mk1, ml1) == (i2, mk2, ml2)
 
 
-def test_boundary_correction_vanishes():
-    for n in range(1, 7):
-        assert boundary_correction_term(n) == 0
+def test_assemble_hybrid_index_refuses_half_integral_data():
+    # W1 data with mu_rs(W1) - nu(W1)/2 a half-integer: mu(K) is no integer
+    with pytest.raises(IndexArithmeticError, match="W1"):
+        assemble_hybrid_index(HalfInteger(4), 1, HalfInteger(-6), 2, +1)
+    # W2 data with mu_rs(W2) + nu(W2)/2 a half-integer: mu(Lambda) is no integer
+    with pytest.raises(IndexArithmeticError, match="W2"):
+        assemble_hybrid_index(HalfInteger(5), 1, HalfInteger(-5), 2, -1)
 
 
 def test_model_components_match_engine_and_closed_form():

@@ -156,6 +156,28 @@ def test_files_are_opened_in_files_module_alone(path):
     assert open_calls(path.read_text()) == []
 
 
+def json_parse_calls(source: str) -> list[str]:
+    """Calls of ``json.load`` and ``json.loads``: JSON is parsed in ``_files.py``
+    alone, by ``read_json``, so that every JSON input takes its fields through
+    ``read_record`` and one way to read files holds for JSON too."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and _dotted(node.func) in ("json.load", "json.loads")]
+    return [f"line {node.lineno}: {_dotted(node.func)}("
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_json_parse_call_is_found():
+    source = ("a = json.loads(text)\nb = json.load(fh)\nc = json.dumps(a)\n"
+              "d = pickle.loads(b)\ne = read_json(p)\nf = np.load(p)\n")
+    assert json_parse_calls(source) == ["line 1: json.loads(", "line 2: json.load("]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_files.py"),
+                         ids=lambda p: p.name)
+def test_json_is_parsed_in_files_module_alone(path):
+    assert json_parse_calls(path.read_text()) == []
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; the package runs on numpy alone
     probe = "import sys, rfhlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

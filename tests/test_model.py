@@ -10,7 +10,6 @@ from rfhlab.model import (
     ExtendedPoint,
     extended_flow,
     hamiltonian_data,
-    integrate_flow_rk4,
     make_model,
     model_from_json,
     model_to_json,
@@ -68,6 +67,22 @@ def test_hamiltonian_data_on_level_and_frozen(sys1):
     h_tilde, (xdot, taudot, sigdot) = hamiltonian_data(sys1, p_frozen)
     assert np.max(np.abs(xdot)) == 0.0
     assert sigdot == pytest.approx(float(sys1.hamiltonian(p_frozen.x)))
+
+
+def integrate_flow_rk4(sys, x0, t_final: float, n_steps: int = 2000):
+    """RK4 trajectory of x' = X_H(x): the oracle for the closed-form flow."""
+    x = np.array(x0, dtype=float)
+    h = t_final / n_steps
+    traj = np.empty((n_steps + 1, x.size))
+    traj[0] = x
+    for k in range(n_steps):
+        k1 = sys.x_h(x)
+        k2 = sys.x_h(x + 0.5 * h * k1)
+        k3 = sys.x_h(x + 0.5 * h * k2)
+        k4 = sys.x_h(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        traj[k + 1] = x
+    return traj
 
 
 def test_flow_formula_matches_rk4(sys1):
