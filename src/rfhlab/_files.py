@@ -7,6 +7,7 @@ text is never built when it is written out.  JSON input is parsed by
 ``read_json`` and its fields read by ``read_record`` with strict converters.
 """
 
+import itertools
 import json
 import math
 
@@ -64,13 +65,12 @@ def read_csv_floats(file) -> np.ndarray:
     return read_with(file, lambda fh: np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2))
 
 
-def read_json(source):
-    """The JSON value in ``source``: JSON text (an object or an array), a
-    path, or an open text handle.  Nesting past the parser's depth raises
-    ValueError."""
-    is_text = isinstance(source, str) and source.lstrip().startswith(("{", "["))
+def read_json(file):
+    """The JSON value in ``file``, a path or an open text handle (never JSON
+    text: a file may be named ``[a].json``).  Nesting past the parser's
+    depth raises ValueError."""
     try:
-        return json.loads(source if is_text else read_text(source))
+        return json.loads(read_text(file))
     except RecursionError:
         raise ValueError("JSON input nested too deeply to parse") from None
 
@@ -109,8 +109,13 @@ string = _converter("a string", lambda v: type(v) is str, str)
 
 
 def number_array(value) -> np.ndarray:
-    """A JSON number or nested array of finite numbers, as a float array."""
+    """A JSON number or nested array of finite numbers, as a float array; the
+    leaves are checked for bools, which numpy reads as numbers among numbers."""
     array = np.array(value)
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if (array.dtype.kind not in "iuf" or bool in map(type, leaves)
+            or not np.isfinite(array).all()):
         raise TypeError(f"must hold finite numbers alone, got {value!r:.40}")
     return array.astype(float, copy=False)

@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission: the message names it
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (rsi.ResolutionError, gf.StepSizeError, gf.DivergenceError) as exc:

@@ -738,7 +738,8 @@ def loop_to_json(loop, file=None) -> str | None:
 
 
 def loop_from_json(source):
-    """The loop ``loop_to_json`` wrote, its fields read by ``_files.read_record``.
+    """The loop ``loop_to_json`` wrote (a path or an open handle), its fields
+    read by ``_files.read_record``.
 
     Raises ValueError naming the field that is missing, ill-typed or of the
     wrong shape: ``type`` not rabinowitz or extended, ``x`` not a (N_t, 2n)

@@ -285,8 +285,9 @@ _COMPONENT_FIELDS = {"id": string, "kind": string, "action": number, "dim_k": in
 
 
 def components_from_json(source) -> list[CriticalComponent]:
-    """The components ``components_to_json`` wrote, each row read by
-    ``_files.read_record``: ValueError names a missing or ill-typed field."""
+    """The components ``components_to_json`` wrote (a path or an open handle),
+    each row read by ``_files.read_record``: ValueError names a missing or
+    ill-typed field."""
     rows = read_json(source)
     if not isinstance(rows, list):
         raise ValueError(f"components file must be a JSON array, got {type(rows).__name__}")

@@ -356,7 +356,7 @@ def model_to_json(sys: ModelSystem, file=None) -> str:
 
 
 def model_from_json(source) -> ModelSystem:
-    """Rebuild a system from model_to_json output (path, file, or text); a
-    missing or ill-typed field raises ValueError naming it (``read_record``)."""
+    """Rebuild a system from model_to_json output (a path or an open handle);
+    a missing or ill-typed field raises ValueError naming it (``read_record``)."""
     fields = {"n": integer, "r0": number, "r_plateau": number, "h_thr": number}
     return make_model(**read_record(read_json(source), "model file", fields))

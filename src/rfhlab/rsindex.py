@@ -173,15 +173,17 @@ class SymplecticPath:
             equal to S on the kernel.
         generator: optional callable mapping an array of N times to the
             stack (N, 2m, 2m) of the symmetric S(t).
-        evaluator: optional callable t -> Gamma(t), a closed form.
+        evaluator: optional callable t -> Gamma(t), a closed form (below).
         fields: with a generator, the stack (N, 2m, 2m) of J S(t_k) at
             the sample times, from one generator call on first use;
             ``path_from_generator`` keeps the one it integrated with.
 
-    Off-sample values come from the evaluator; without one, from cubic
-    Hermite interpolation on Gamma_k and Gamma'_k = J S(t_k) Gamma_k when
-    the path has a generator (error O(h^4), the order of RK4), else from
-    cubic interpolation of the four nearest samples.
+    Off-sample values follow one rule per path: cubic Hermite interpolation
+    on Gamma_k and Gamma'_k = J S(t_k) Gamma_k with a generator (error
+    O(h^4), the order of RK4), else cubic interpolation of the four nearest
+    samples.  ``evaluator`` overrides both; no constructor passes it: tests
+    build closed-form reference paths with it, and the benchmark's tracer
+    reads it.
     """
 
     def __init__(
@@ -477,6 +479,11 @@ def rs_index_detailed(path: SymplecticPath):
 
     The index is ``rs_index``'s, and the crossings' contributions sum to it
     (see the module docstring).
+
+    END_TOL is absolute, so an eigenphase turning at rate a stays in the
+    zero band up to t = END_TOL / a: ``rotation_path(m, 1e-8)`` lists a start
+    of sig 0 and a plateau exit of sig +2m at t = 0.1, not one start of sig
+    +2m.  The sum is right.
     """
     ts, g, dets, steps, graphs = _sampled(path, 0.0, 1.0)
     phases = _phases(g)
@@ -595,29 +602,19 @@ def theta_path(tau: float, hp: float, hpp: float, n_samples: int = 257) -> Sympl
     nmat[3, 1] = hp
     form = theta_form()
     cmat = -form @ nmat  # symmetric generator: Theta' = J C Theta with J = form
-
-    def evaluate(t: float) -> np.ndarray:
-        return np.eye(4) + t * nmat
-
     ts = np.linspace(0.0, 1.0, n_samples)
     mats = np.eye(4) + ts[:, None, None] * nmat
-    return SymplecticPath(ts, mats, form=form, generator=_constant(cmat), evaluator=evaluate,
-                          tol=1e-10)
+    return SymplecticPath(ts, mats, form=form, generator=_constant(cmat), tol=1e-10)
 
 
 def rotation_path(m: int, angle: float, n_samples: int = 513) -> SymplecticPath:
     """Path t -> exp(t * angle * J_m) with constant generator angle * I."""
-    jmat = standard_jmat(m)
     eye = np.eye(2 * m)
-
-    def evaluate(t: float) -> np.ndarray:
-        return np.cos(angle * t) * eye + np.sin(angle * t) * jmat
-
     ts = np.linspace(0.0, 1.0, n_samples)
     angles = angle * ts[:, None, None]
     mats = np.cos(angles) * eye
-    mats += np.sin(angles) * jmat
-    return SymplecticPath(ts, mats, generator=_constant(angle * eye), evaluator=evaluate, tol=1e-9)
+    mats += np.sin(angles) * standard_jmat(m)
+    return SymplecticPath(ts, mats, generator=_constant(angle * eye), tol=1e-9)
 
 
 def path_from_generator(
@@ -712,26 +709,21 @@ def block_diag(p1: SymplecticPath, p2: SymplecticPath) -> SymplecticPath:
     else:
         mats = np.array([joined(p1.at(t), p2.at(t)) for t in ts])
     form = joined(p1.form, p2.form)
-
-    evaluator = None
-    if all(p.evaluator is not None or p.generator is not None for p in (p1, p2)):
-        def evaluator(t: float) -> np.ndarray:
-            return joined(p1.at(t), p2.at(t))
-
     generator = None
     if p1.generator is not None and p2.generator is not None:
         def generator(t: np.ndarray) -> np.ndarray:
             return joined(p1.generator(t), p2.generator(t))
 
-    return SymplecticPath(ts, mats, form=form, generator=generator, evaluator=evaluator,
-                          tol=max(p1.tol, p2.tol))
+    return SymplecticPath(ts, mats, form=form, generator=generator, tol=max(p1.tol, p2.tol))
 
 
 def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
     """Path t -> Psi Gamma(t) Psi^{-1} for a fixed symplectic Psi.
 
     Conjugation maps kernels by Psi and preserves crossing forms, so the
-    index is unchanged.
+    index is unchanged.  A path with a generator S keeps one, J^-1 Psi J S
+    Psi^-1 for the form J, whose field is Psi J S Psi^-1; where J^2 = -I
+    (J_m, ``theta_form`` and their joins) that is Psi^-T S Psi^-1.
     """
     psi = np.asarray(psi, float)
     if symplectic_defect(psi, path.form) > 1e-7:
@@ -739,15 +731,15 @@ def conjugate_path(path: SymplecticPath, psi: np.ndarray) -> SymplecticPath:
     psi_inv = np.linalg.inv(psi)
     mats = psi @ path.mats @ psi_inv
 
-    evaluator = None
-    if path.evaluator is not None or path.generator is not None:
-        def evaluator(t: float) -> np.ndarray:
-            return psi @ path.at(t) @ psi_inv
+    generator = None
+    if path.generator is not None:
+        lift = np.linalg.solve(path.form, psi @ path.form)
 
-    return SymplecticPath(
-        path.ts.copy(), mats, form=path.form,
-        evaluator=evaluator, tol=max(path.tol, 1e-8),
-    )
+        def generator(t: np.ndarray) -> np.ndarray:
+            return lift @ path.generator(t) @ psi_inv
+
+    return SymplecticPath(path.ts.copy(), mats, form=path.form, generator=generator,
+                          tol=max(path.tol, 1e-8))
 
 
 # -- CSV interface --------------------------------------------------------------

@@ -168,6 +168,26 @@ def test_malformed_loop_file_exits_two_naming_the_field(tmp_path, capsys, payloa
     assert "configuration error" in err and named in err
 
 
+def test_loop_file_named_like_json_text_is_read_as_a_file(tmp_path, monkeypatch, capsys):
+    # a file name that starts with "[" is a path all the same, not JSON text
+    monkeypatch.chdir(tmp_path)
+    plain = _loop_json(tmp_path)
+    (tmp_path / "[a].json").write_text((tmp_path / "loop.json").read_text())
+    assert run(["flow", "--loop", plain, "--n", "1"]) == 0
+    want = capsys.readouterr().out
+    assert run(["flow", "--loop", "[a].json", "--n", "1"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [["grade", "--model"], ["grade", "--components"],
+                                  ["flow", "--n", "1", "--loop"], ["complex", "--instance"],
+                                  ["index", "--csv"]], ids=lambda argv: argv[-1])
+def test_directory_as_input_file_exits_two_naming_it(tmp_path, capsys, argv):
+    assert run([*argv, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(tmp_path) in err
+
+
 def test_index_arithmetic_error_exits_four(tmp_path, capsys):
     # twice_mu_rs = 3 with dim_k = 3: mu(K) and mu(Lambda) would be half-integers
     table = tmp_path / "components.json"
@@ -486,7 +506,7 @@ def malformed_inputs(draw):
     return flag, payload, repr(key)
 
 
-_MODEL, _ROWS = INPUT_FILES["--model"][2][0], INPUT_FILES["--components"][2][0]
+_MODEL, _ROWS, _LOOP = (INPUT_FILES[flag][2][0] for flag in ("--model", "--components", "--loop"))
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +522,9 @@ def input_dir(tmp_path_factory):
                "'twice_mu_rs'"))
 @example(case=("--components", [dict(_ROWS[1], twice_mu_rs=2.5)], "'twice_mu_rs'"))
 @example(case=("--model", dict(_MODEL, r0=10**400), "'r0'"))  # no float holds it
+# numpy reads a bool among numbers as a number
+@example(case=("--loop", dict(_LOOP, x=[[1, 0], [0, True], [1, 0], [0, 1]]), "'x'"))
+@example(case=("--loop", dict(_LOOP, x=[[1.5, 0], [0, False], [1, 0], [0, 1]]), "'x'"))
 def test_malformed_input_file_exits_two_or_four_naming_it(input_dir, case):
     flag, payload, named = case
     path = input_dir / "input.json"

@@ -323,7 +323,7 @@ def test_stable_perturbation_rejects_empty_cone(sys1, orbit):
 def test_loop_json_roundtrip(sys1, orbit, lifted):
     for loop in (orbit, lifted):
         text = loop_to_json(loop)
-        again = loop_from_json(text)
+        again = loop_from_json(io.StringIO(text))
         assert np.array_equal(again.x, loop.x)
     buf = io.StringIO(loop_to_json(lifted))
     again = loop_from_json(buf)

@@ -190,7 +190,7 @@ def test_components_json_and_csv():
     sy = make_model(n=2)
     comps = model_components(sy, ks=(1,))
     text = components_to_json(comps)
-    again = components_from_json(text)
+    again = components_from_json(io.StringIO(text))
     assert again == comps
     again2 = components_from_json(io.StringIO(text))
     assert again2 == comps

@@ -185,3 +185,28 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def evaluator_keywords(source: str) -> list[str]:
+    """Calls that pass ``evaluator=``, outside the class ``SymplecticPath``:
+    a path built by rfhlab takes its off-sample values from its generator or
+    its samples alone, and the closed-form evaluator is a seam for tests."""
+    tree = ast.parse(source)
+    own = {id(node) for cls in ast.walk(tree)
+           if isinstance(cls, ast.ClassDef) and cls.name == "SymplecticPath" for node in ast.walk(cls)}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "evaluator" and id(node) not in own]
+    return [f"line {node.lineno}: evaluator=" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_evaluator_keyword_is_found():
+    source = ("class SymplecticPath:\n    def copy(self):\n"
+              "        return SymplecticPath(self.ts, self.mats, evaluator=self.evaluator)\n"
+              "p = SymplecticPath(ts, mats, evaluator=f)\nq = SymplecticPath(ts, mats, generator=g)\n"
+              "def build(evaluator=None):\n    return make(evaluator)\nr = build(evaluator=None)\n")
+    assert evaluator_keywords(source) == ["line 4: evaluator=", "line 8: evaluator="]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_constructor_passes_an_evaluator(path):
+    assert evaluator_keywords(path.read_text()) == []

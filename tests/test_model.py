@@ -169,7 +169,7 @@ def test_higher_dimensions():
 
 def test_json_roundtrip(sys1):
     text = model_to_json(sys1)
-    sy2 = model_from_json(text)
+    sy2 = model_from_json(io.StringIO(text))
     assert sy2.n == sys1.n
     assert sy2.h_thr == sys1.h_thr
     assert sy2.profile.r0 == sys1.profile.r0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rfhlab.grading import model_lambda_path
 from rfhlab.model import make_model
@@ -557,14 +558,27 @@ def test_generator_of_the_wrong_shape_is_rejected(bad):
         path_from_generator(bad, 2, n_steps=8)
 
 
+def rotation_closed_form(m, angle):
+    """t -> exp(t angle J_m), as rotation_path computes its samples."""
+    jmat, eye = standard_jmat(m), np.eye(2 * m)
+    return lambda t: np.cos(angle * t) * eye + np.sin(angle * t) * jmat
+
+
+def theta_closed_form(tau, hp, hpp):
+    """t -> I + t N, with theta_path's N."""
+    nmat = np.zeros((4, 4))
+    nmat[0, 1], nmat[0, 2], nmat[3, 1] = tau * hpp, hp, hp
+    return lambda t: np.eye(4) + t * nmat
+
+
 def test_hermite_dense_output_is_fourth_order():
     angle = 5.0
+    exact = rotation_closed_form(1, angle)
     errors = []
     for n in (256, 512):
         p = path_from_generator(_constant(angle * np.eye(2)), 2, n_steps=n)
-        q = rotation_path(1, angle)
         offgrid = (np.arange(n) + 0.37) / n
-        errors.append(max(np.max(np.abs(p.at(t) - q.evaluator(t))) for t in offgrid))
+        errors.append(max(np.max(np.abs(p.at(t) - exact(t))) for t in offgrid))
     assert errors[1] < 1e-9
     assert 12 < errors[0] / errors[1] < 20
 
@@ -584,7 +598,7 @@ def test_generator_path_without_stack_computes_it_once():
     assert np.array_equal(p.at(float(ref.ts[7])), ref.mats[7])
     assert len(calls) == 1
     for t in (0.1234, 0.5678):
-        assert np.max(np.abs(p.at(t) - ref.evaluator(t))) < 1e-10
+        assert np.max(np.abs(p.at(t) - rotation_closed_form(1, 3.0)(t))) < 1e-10
     # the stack of every sample time, from one call
     assert len(calls) == 2 and np.array_equal(calls[1], ref.ts)
 
@@ -663,16 +677,16 @@ def test_perturbed_path_builds_through_the_module_global(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(m=st.sampled_from([1, 2, 3]), angle=st.floats(-20.0, 20.0), n=st.integers(257, 1100))
 def test_rotation_samples_equal_the_evaluator_bitwise(m, angle, n):
-    p = rotation_path(m, angle, n_samples=n)
-    assert p.mats.tobytes() == np.array([p.evaluator(t) for t in p.ts]).tobytes()
+    p, exact = rotation_path(m, angle, n_samples=n), rotation_closed_form(m, angle)
+    assert p.mats.tobytes() == np.array([exact(t) for t in p.ts]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(tau=st.floats(-10.0, 10.0), hp=st.floats(0.1, 5.0), hpp=st.floats(0.1, 5.0),
        sign=st.sampled_from([-1.0, 1.0]), n=st.integers(3, 400))
 def test_theta_samples_equal_the_evaluator_bitwise(tau, hp, hpp, sign, n):
-    p = theta_path(tau, hp, sign * hpp, n_samples=n)
-    assert p.mats.tobytes() == np.array([p.evaluator(t) for t in p.ts]).tobytes()
+    p, exact = theta_path(tau, hp, sign * hpp, n_samples=n), theta_closed_form(tau, hp, sign * hpp)
+    assert p.mats.tobytes() == np.array([exact(t) for t in p.ts]).tobytes()
 
 
 # -- properties of the index through the propagator constructor, against the
@@ -774,17 +788,45 @@ def _theta_frame():
     return e
 
 
+def _random_symplectic_for(block, path, seed, scale):
+    """A random Psi, symplectic for the form of the block's path."""
+    psi = random_symplectic(path.dim // 2, np.random.default_rng(seed), scale)
+    if block[0] == "theta":
+        frame = _theta_frame()
+        psi = np.linalg.inv(frame) @ psi @ frame
+    return psi
+
+
 @settings(max_examples=25, deadline=None)
 @example(seed=666515812, block=("theta", 1.0, 0.875, 2.0, False), scale=1 / 3)  # det noise on a plateau
 @given(seed=st.integers(0, 2**32 - 1), block=closed_forms, scale=st.floats(0.1, 0.8))
 def test_conjugation_invariance_of_generator_paths(seed, block, scale):
     path, twice = _closed_form(block, 768)
-    psi = random_symplectic(path.dim // 2, np.random.default_rng(seed), scale)
-    if block[0] == "theta":
-        frame = _theta_frame()
-        psi = np.linalg.inv(frame) @ psi @ frame
+    psi = _random_symplectic_for(block, path, seed, scale)
     assert rs_index(path).twice_value == twice
     assert rs_index(conjugate_path(path, psi)).twice_value == twice
+
+
+def test_conjugated_generator_keeps_the_field_on_a_form_not_squaring_to_minus_one():
+    # on J = J_1 + 2 J_1, Psi^-T S Psi^-1 would not be the conjugated field
+    form = np.kron(np.diag([1.0, 2.0]), standard_jmat(1))
+    path = path_from_generator(_constant(np.diag([3.0, 3.0, 1.0, 1.0])), 4, form=form, n_steps=512)
+    psi = expm(0.3 * np.linalg.solve(form, random_symmetric(4, np.random.default_rng(0), 1.0)))
+    conj = conjugate_path(path, psi)
+    assert np.allclose(conj.fields, psi @ path.fields @ np.linalg.inv(psi), atol=1e-12)
+    assert rs_index(conj) == rs_index(path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=closed_forms, scale=st.floats(0.1, 0.8),
+       sign=st.sampled_from([-1, 1]))
+def test_perturbed_conjugated_path_has_the_perturbed_index(seed, block, scale, sign):
+    # a conjugated path keeps the conjugated generator Psi^-T S Psi^-1, and
+    # S - delta I shifts its index as it shifts the unconjugated one
+    path, _ = _closed_form(block, "closed")
+    psi = _random_symplectic_for(block, path, seed, scale)
+    want = rs_index(perturbed_path(path, sign * 1e-3))
+    assert rs_index(perturbed_path(conjugate_path(path, psi), sign * 1e-3)) == want
 
 
 # -- the crossing list against the winding, homotopy invariance and the
