@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (z2.FiltrationError, z2.GradingError, z2.NotInvertibleError,
-            gr.IndexArithmeticError, hy.CouplingError, hy.ActionChainError) as exc:
+            gr.IndexArithmeticError) as exc:
         print(f"invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

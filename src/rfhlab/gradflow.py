@@ -133,15 +133,15 @@ class ExtendedLoop(_Loop):
         return float(np.mean(self.eta))
 
 
-def circ_diff(arr: np.ndarray, nt: int | None = None) -> np.ndarray:
+def circ_diff(arr: np.ndarray) -> np.ndarray:
     """Centered difference d/dt on the periodic unit-time grid: row k is
-    (a[k+1] - a[k-1]) * (n/2), indices mod N_t, written from slices."""
-    n = arr.shape[0] if nt is None else nt
+    (a[k+1] - a[k-1]) * (N_t/2), indices mod N_t = len(arr), written from
+    slices."""
     out = np.empty_like(arr)
     np.subtract(arr[2:], arr[:-2], out=out[1:-1])
     np.subtract(arr[1:2], arr[-1:], out=out[:1])
     np.subtract(arr[:1], arr[-2:-1], out=out[-1:])
-    out *= n / 2.0
+    out *= len(arr) / 2.0
     return out
 
 
@@ -223,7 +223,7 @@ def second_variation(sys: ModelSystem, loop, tangents):
     and <t, L t> in the L2 metric is the second variation of the action.
     """
     # the 2n axis is short, so the loop parts are worked with time as the
-    # last axis; tangents from _part_blocks are time-contiguous in memory
+    # last axis; tangents from _unpack are time-contiguous in memory
     x = np.ascontiguousarray(loop.x.T)
     xi = np.swapaxes(tangents[0], 1, 2)
     free = isinstance(loop, RabinowitzLoop)
@@ -287,7 +287,7 @@ def _gradient(sys, loop):
 # -- descent kernel ----------------------------------------------------------------
 
 # step policy of every descent run: first step, smallest step tried before
-# giving up, default largest step, Armijo constant, backtrack and growth
+# giving up, largest step, Armijo constant, backtrack and growth
 DS0 = 1e-3
 DS_MIN = 1e-12
 DS_MAX = 5e-2
@@ -311,7 +311,7 @@ class _Descent:
     steps: int = 0
 
 
-def _descend(sys, loop, kmax, stop, on_step, max_steps, ds_max=DS_MAX, horizon=None):
+def _descend(sys, loop, kmax, stop, on_step, max_steps, horizon=None):
     """Explicit Euler descent along the negative gradient projected to the
     modes |k| <= kmax, with Armijo backtracking on the action.
 
@@ -367,7 +367,7 @@ def _descend(sys, loop, kmax, stop, on_step, max_steps, ds_max=DS_MAX, horizon=N
         st.s += step
         st.steps += 1
         on_step(st, prev, step)
-        ds = min(ds * GROW, ds_max)
+        ds = min(ds * GROW, DS_MAX)
     return st, False
 
 
@@ -438,7 +438,6 @@ class FlowDiagnostics:
 
 @dataclass(frozen=True)
 class IntegrateControls:
-    ds_max: float = DS_MAX
     eps_stop: float = 1e-7
     max_steps: int = 10**6
     freq_cutoff: int = 1
@@ -524,8 +523,7 @@ def integrate(sys: ModelSystem, loop0, controls: IntegrateControls = IntegrateCo
         )
 
     end, converged = _descend(
-        sys, loop, kmax, lambda norm: norm < controls.eps_stop, record,
-        controls.max_steps, ds_max=controls.ds_max,
+        sys, loop, kmax, lambda norm: norm < controls.eps_stop, record, controls.max_steps,
     )
     diags.converged = converged
     diags.stop_reason = "gradient below threshold" if converged else "step budget exhausted"
@@ -638,50 +636,24 @@ def _shift(loop, vec, basis, eps):
     return type(loop)(*(p + q[0] for p, q in zip(loop.parts, d)))
 
 
-def _part_blocks(loop, basis):
-    """The unit tangents of the reduced coordinates, one block at a time.
-
-    Per part in field order and, for a loop part, per component: the slice
-    of reduced coordinates that block spans, and the batch of tangents
-    whose coordinates are that slice's unit vectors.  The block's own part
-    holds the basis columns (a scalar part, 1); the other parts are
-    read-only broadcast zeros, never allocated.
-    """
-    nt, nb = basis.shape
-    parts = loop.parts
-    i = 0
-    for j, p in enumerate(parts):
-        m = nb if np.ndim(p) else 1
-        ncomp = _width(p, nb) // m
-        for k in range(ncomp):
-            if np.ndim(p):
-                # time-contiguous, as second_variation works with time last
-                own = np.zeros((nb, ncomp, nt))
-                own[:, k] = basis.T
-                own = np.swapaxes(own, 1, 2).reshape((nb,) + p.shape)
-            else:
-                own = np.ones(1)
-            tangents = tuple(own if q == j else np.broadcast_to(0.0, (m,) + np.shape(parts[q]))
-                             for q in range(len(parts)))
-            yield slice(i, i + m), tangents
-            i += m
-
-
 def reduced_hessian(sys: ModelSystem, loop, kmax: int = 2) -> np.ndarray:
     """Second variation of the action on the |k| <= kmax Fourier subspace.
 
     B^T L B for an orthonormal basis B of the subspace and L the exact
     ``second_variation``, then symmetrized; the discrete L2 metric is the
-    identity in these coordinates.  The rows are assembled one part block
-    at a time (the x part component by component, then each eta, tau or
-    zeta part), so that the working memory is one block's tangents and
-    derivatives, not the whole batch's.
+    identity in these coordinates.  The rows are assembled in blocks of
+    2 kmax + 1, each from the ``_unpack`` tangents of that many unit
+    vectors (one loop component's basis, or the scalar tau), so that the
+    working memory is one block's tangents and derivatives, not the whole
+    batch's.
     """
     basis = _fourier_basis(loop.nt, kmax)
-    dim = _pack_dim(loop, kmax)
-    cols = np.empty((dim, dim))
-    for rows, tangents in _part_blocks(loop, basis):
-        cols[rows] = _pack(second_variation(sys, loop, tangents), basis)
+    nb = basis.shape[1]
+    eye = np.eye(_pack_dim(loop, kmax))
+    cols = np.empty_like(eye)
+    for i in range(0, len(eye), nb):
+        tangents = _unpack(loop, eye[i:i + nb], basis)
+        cols[i:i + nb] = _pack(second_variation(sys, loop, tangents), basis)
     return 0.5 * (cols + cols.T)
 
 

@@ -42,7 +42,7 @@ from .gradflow import (
     _descend,
     _fourier_basis,
     _g_inner,
-    _pack_dim,
+    _pack,
     grad_norm,
     gradient_rabinowitz,
     lift_loop,
@@ -65,14 +65,6 @@ __all__ = [
 ]
 
 
-class CouplingError(RuntimeError):
-    """The coupling residual at s = 0 failed to stay at machine size."""
-
-
-class ActionChainError(RuntimeError):
-    """The action increased along a relaxed half-trajectory."""
-
-
 @dataclass
 class HalfRun:
     """One relaxed half-trajectory: its start and end loops, per-step
@@ -83,7 +75,6 @@ class HalfRun:
     actions: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     energy_cum: list[float] = field(default_factory=list)
-    frozen_from: float | None = None
     budget_exhausted: bool = False
     eta_inf: float = 0.0
     zeta_spread_inf: float = 0.0
@@ -118,6 +109,8 @@ class HybridState:
         return self.plus.loops[-1]
 
     def coupling_residuals(self) -> tuple[float, float]:
+        # both are exactly 0.0 after hybrid_relax, whose plus start is the
+        # lift of the minus end: x copied, eta the constant tau
         v0 = self.minus.loops[-1]
         u0 = self.plus.loops[0]
         r_loop = float(np.max(np.abs(u0.x - v0.x)))
@@ -170,13 +163,11 @@ def _half_run(sys, loop, s_offset: float, horizon: float, controls: HybridContro
         run.energy_cum.append(st.energy)
         run.observe(st.loop, r_plateau)
 
-    end, frozen = _descend(
+    end, _ = _descend(
         sys, loop, controls.freq_cutoff, lambda norm: norm <= END_TOL, record,
         controls.max_steps, horizon=horizon,
     )
     run.loops = [loop, end.loop]
-    if frozen:
-        run.frozen_from = s_offset + end.s
     run.budget_exhausted = end.steps >= controls.max_steps and end.s < horizon
     return run
 
@@ -192,7 +183,6 @@ class HybridDiagnostics:
     energy_minus: float = 0.0
     energy_plus: float = 0.0
     energy_identity_residual: float = 0.0
-    end_grad_minus_input: float = 0.0
     end_grad_plus: float = 0.0
     converged: bool = False
     budget_exhausted: bool = False
@@ -217,9 +207,12 @@ def hybrid_relax(
     longer horizon would repeat the same steps from the same input.
 
     Returns (relaxed HybridState, HybridDiagnostics).  The summed-energy
-    identity is recorded; a coupling residual above rounding raises
-    CouplingError, an action increase along either half ActionChainError.
-    Half-runs raise StepSizeError and DivergenceError as ``integrate`` does.
+    identity and the coupling residuals are recorded.  The coupling and the
+    action chain hold by construction: the plus start is ``lift_loop`` of
+    the minus end, so both residuals are exactly 0.0, and ``_descend``
+    accepts a step only if a_new <= action - c ds |g|^2, so neither half's
+    actions ever rise.  Half-runs raise StepSizeError and DivergenceError as
+    ``integrate`` does.
     """
     minus_input = state.minus.loops[0]
     sigma_ref = float(np.mean(state.plus.loops[0].zeta))
@@ -237,15 +230,7 @@ def hybrid_relax(
         horizon *= 2.0
 
     out = HybridState(minus=minus, plus=plus)
-
     r_loop, r_eta = out.coupling_residuals()
-    if max(r_loop, r_eta) > 1e-12:
-        raise CouplingError(f"coupling residuals {r_loop:.3e}, {r_eta:.3e} exceed rounding")
-
-    for side, run in (("minus", minus), ("plus", plus)):
-        if not all(b <= a + 1e-12 for a, b in zip(run.actions, run.actions[1:])):
-            raise ActionChainError(f"action increased along the relaxed {side} half-trajectory")
-
     e_m, e_p = minus.energy, plus.energy
     diags = HybridDiagnostics(
         sweeps=sweeps,
@@ -253,11 +238,10 @@ def hybrid_relax(
         coupling_residual_loop=r_loop,
         coupling_residual_eta=r_eta,
         mid_action_residual=abs(minus.actions[-1] - plus.actions[0]),
-        action_chain_ok=True,
+        action_chain_ok=True,  # no accepted step raises the action (Armijo)
         energy_minus=e_m,
         energy_plus=e_p,
         energy_identity_residual=abs((e_m + e_p) - (minus.actions[0] - plus.actions[-1])),
-        end_grad_minus_input=minus.grad_norms[0],
         end_grad_plus=plus.grad_norms[-1],
         converged=plus.grad_norms[-1] <= END_TOL and not exhausted,
         budget_exhausted=exhausted,
@@ -335,38 +319,23 @@ class AutoTransversalityReport:
 
 
 def _k_tangent_vectors(sys: ModelSystem, xhat: RabinowitzLoop, basis: np.ndarray) -> np.ndarray:
-    """Reduced-coordinate basis of the critical-manifold tangent at the lift.
+    """Reduced coordinates, as columns, spanning the critical-manifold
+    tangent at the lift.
 
     For an orbit loop x(t) = rot(theta t) p these are the fields
     rot(theta t) w with w in T_p Sigma; for a constant loop, the constant
     fields tangent to Sigma.  Zero eta and zeta parts.
     """
-    nt, nb = basis.shape
     x = xhat.x
     p = x[0] / np.linalg.norm(x[0])
-    dim = sys.dim
-    # tangent basis of the sphere at p
-    tangs = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        w = e - np.dot(e, p) * p
-        if np.linalg.norm(w) > 1e-8:
-            tangs.append(w / np.linalg.norm(w))
-    # orthonormalize
-    q, _ = np.linalg.qr(np.array(tangs).T)
-    tangs = [q[:, i] for i in range(q.shape[1]) if np.linalg.norm(q[:, i]) > 0.5][: dim - 1]
-
+    # the rows of V^T after the first, in p = U S V^T: an orthonormal basis of T_p Sigma
+    tangs = np.linalg.svd(p[None])[2][1:]
     # transport each tangent along the loop: w(t) = x(t)-frame rotation of w
-    cols = []
     cos_t = x @ p            # cos(theta(t)) since |x| = 1
     sin_t = x @ (sys.jmat @ p)
-    for w in tangs:
-        vw = cos_t[:, None] * w + sin_t[:, None] * (sys.jmat @ w)
-        coef = (basis.T @ vw) / nt
-        vec = np.concatenate([coef.T.ravel(), np.zeros(2 * nb)])
-        cols.append(vec / np.linalg.norm(vec))
-    return np.array(cols).T
+    vw = cos_t[:, None] * tangs[:, None] + sin_t[:, None] * (tangs @ sys.jmat.T)[:, None]
+    zeros = np.zeros(vw.shape[:2])
+    return _pack((vw, zeros, zeros), basis).T
 
 
 def auto_transversality_check(
@@ -399,7 +368,6 @@ def auto_transversality_check(
     lift = lift_loop(xhat, sigma)
     nt = lift.nt
     basis = _fourier_basis(nt, kmax)
-    nb = basis.shape[1]
     hess = reduced_hessian(sys, lift, kmax=kmax)
     evals, evecs = np.linalg.eigh(hess)
 
@@ -411,10 +379,8 @@ def auto_transversality_check(
     in_kernel = np.sort(order[:kernel_dim])
     kernel = evecs[:, in_kernel]
 
-    dim_state = _pack_dim(lift, kmax)
-    ncomp = lift.x.shape[1]
-    rstar = np.zeros(dim_state)
-    rstar[(ncomp + 1) * nb] = 1.0  # constant zeta direction
+    # the constant zeta direction
+    rstar = _pack((np.zeros((1,) + lift.x.shape), np.zeros((1, nt)), np.ones((1, nt))), basis)[0]
 
     h_rstar = float(np.linalg.norm(hess @ rstar))
     rstar_in_kernel = h_rstar <= np.sqrt(lo * hi)

@@ -195,8 +195,7 @@ def test_integrate_identities_on_fixed_horizon_segment(sys1, lifted):
     # hold along any accepted segment of the discrete flow
     start = stable_perturbation(sys1, lifted, np.random.default_rng(10),
                                 kmax=2, amplitude=5e-3, rate_min=2.0)
-    _, d = integrate(sys1, start, IntegrateControls(freq_cutoff=2, max_steps=300,
-                                                    ds_max=2e-3))
+    _, d = integrate(sys1, start, IntegrateControls(freq_cutoff=2, max_steps=20))
     assert d.stop_reason == "step budget exhausted"
     assert d.actions_non_increasing
     assert d.energy_total > 1e-7  # a genuinely nontrivial action drop

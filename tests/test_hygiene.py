@@ -210,3 +210,52 @@ def test_evaluator_keyword_is_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_constructor_passes_an_evaluator(path):
     assert evaluator_keywords(path.read_text()) == []
+
+
+ROOT = SRC.parents[1]
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return _dotted(target).split(".")[-1] == "dataclass"
+
+
+def read_names(source: str) -> set[str]:
+    """The attribute names a module loads, and the strings it passes to calls
+    (as in ``getattr(x, "name")``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call):
+            names.update(a.value for a in node.args
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return names
+
+
+def unread_fields(source: str, readers: list[str]) -> list[str]:
+    """Dataclass fields declared in ``source`` that none of ``readers`` reads:
+    a field that is written and never read is state that does nothing."""
+    read = set().union(*map(read_names, readers))
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+            found += [f"line {node.lineno}: {cls.name}.{node.target.id}" for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and node.target.id not in read]
+    return found
+
+
+def test_unread_field_is_found():
+    source = ("@dataclass\nclass Run:\n    s: list\n    frozen_from: float = 0.0\n    tag: str = ''\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Step:\n    ds: float\n    unused: int\n"
+              "class Plain:\n    ignored: int = 0\n"
+              "run.frozen_from = 1.0\nprint(run.s, getattr(step, 'ds'))\n")
+    assert unread_fields(source, [source, "label = run.tag\n"]) == [
+        "line 4: Run.frozen_from", "line 9: Step.unused"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_dataclass_field_is_read(path):
+    assert unread_fields(path.read_text(), [p.read_text() for p in READERS]) == []
